@@ -33,7 +33,6 @@ from repro.analysis.ssa_construction import construct_ssa
 from repro.graphs.stable_set import maximum_weighted_stable_set
 from repro.graphs.generators import random_chordal_graph
 from repro.pipeline import Pipeline
-from repro.workloads.extraction import extract_chordal_problem
 from repro.workloads.programs import GeneratorProfile, generate_function
 
 
@@ -61,7 +60,8 @@ def test_interference_graph_construction(benchmark, medium_ssa):
 
 
 def test_full_extraction_pipeline(benchmark, medium_function):
-    benchmark(extract_chordal_problem, medium_function, "st231")
+    front_end = Pipeline.from_spec("liveness,interference,extract", target="st231")
+    benchmark(front_end.run, medium_function)
 
 
 def test_franks_algorithm_on_large_chordal_graph(benchmark):

@@ -16,11 +16,11 @@ Quick start
 >>> context.spill_cost >= 0 and context.report.feasible
 True
 
-The loose helpers remain for ad-hoc use (``extract_chordal_problem`` +
-``get_allocator(...).allocate`` + ``insert_optimized_spill_code``), but the
-:mod:`repro.pipeline` engine is the first-class API: declarative specs,
+The :mod:`repro.pipeline` engine is the first-class API: declarative specs,
 batch runs with a process pool, and allocate-stage caching through the
-experiment store.
+experiment store.  A ``liveness,interference,extract`` stage chain stops at
+the packaged :class:`AllocationProblem` for ad-hoc allocator use
+(``get_allocator(...).allocate``).
 """
 
 from repro.alloc import (

@@ -37,7 +37,6 @@ from repro.alloc.optimal_bb import BranchAndBoundAllocator
 from repro.alloc.assignment import assign_registers
 from repro.alloc.spill_code import insert_spill_code
 from repro.alloc.load_store_opt import insert_optimized_spill_code, remove_redundant_reloads
-from repro.alloc.verify import check_allocation, is_allocation_feasible
 
 __all__ = [
     "AllocationProblem",
@@ -62,6 +61,4 @@ __all__ = [
     "insert_spill_code",
     "insert_optimized_spill_code",
     "remove_redundant_reloads",
-    "check_allocation",
-    "is_allocation_feasible",
 ]

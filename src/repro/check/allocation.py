@@ -1,7 +1,8 @@
 """Allocation postconditions (``ALLOC001``–``ALLOC008``, ``SPL001``–``SPL004``).
 
-Three families, mirroring the legacy ``repro.alloc.verify`` checks plus a
-new static audit of the spill-code rewrite:
+Three families — the allocation verifier the ``verify`` stage and
+``run_allocator(verify=True)`` run, plus a static audit of the spill-code
+rewrite:
 
 * :func:`allocation_diagnostics` — result bookkeeping: allocated ∪ spilled
   covers every variable (``ALLOC001``), the sets are disjoint (``ALLOC002``),
@@ -19,24 +20,74 @@ new static audit of the spill-code rewrite:
   deliberately leaves in registers along the edge — are flagged as a
   pressure-leak note (``SPL004``).
 
-The diagnostic *messages* of the first two families are byte-identical to
-the historical :class:`~repro.errors.InvalidAllocationError` messages, so
-the shims in :mod:`repro.alloc.verify` can re-raise them unchanged.
+The ``verify`` stage raises :class:`~repro.errors.InvalidAllocationError`
+with the first error's message of the first two families.
+
+Feasibility (:func:`is_allocation_feasible`) mirrors the allocators: on
+chordal graphs it is exact — the clique number of the induced sub-graph must
+not exceed ``R``; on general graphs exact verification is NP-hard, so the
+check combines the necessary maximal-clique condition with a sufficient
+greedy-coloring attempt and reports which one decided.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
 from repro.check.diagnostics import Diagnostic, Location, Severity
 from repro.check.registry import Checker, CheckRequest
-from repro.graphs.graph import Vertex
+from repro.graphs.chordal import is_chordal
+from repro.graphs.cliques import maximal_cliques
+from repro.graphs.coloring import chromatic_number_chordal, greedy_coloring, is_valid_coloring
+from repro.graphs.graph import Graph, Vertex
 from repro.ir.function import Function
 from repro.ir.instructions import Opcode
 from repro.ir.values import Constant, VirtualRegister
 from repro.targets.machine import TargetMachine
+
+
+@dataclass(frozen=True)
+class FeasibilityReport:
+    """Outcome of a feasibility check."""
+
+    feasible: bool
+    exact: bool
+    reason: str
+
+
+def is_allocation_feasible(graph: Graph, allocated: Iterable[Vertex], num_registers: int) -> FeasibilityReport:
+    """Check whether ``allocated`` fits in ``num_registers`` registers."""
+    induced = graph.subgraph(allocated)
+    if len(induced) == 0:
+        return FeasibilityReport(True, True, "empty allocation")
+    if num_registers <= 0:
+        return FeasibilityReport(False, True, "no registers available")
+
+    if is_chordal(induced):
+        needed = chromatic_number_chordal(induced)
+        feasible = needed <= num_registers
+        return FeasibilityReport(
+            feasible,
+            True,
+            f"chordal induced sub-graph needs {needed} colors for {num_registers} registers",
+        )
+
+    # Necessary condition: no clique larger than R.
+    omega = max((len(c) for c in maximal_cliques(induced)), default=0)
+    if omega > num_registers:
+        return FeasibilityReport(False, True, f"allocated clique of size {omega} exceeds R={num_registers}")
+    # Sufficient check: a greedy coloring that fits proves feasibility.
+    coloring = greedy_coloring(induced)
+    if is_valid_coloring(induced, coloring) and max(coloring.values()) + 1 <= num_registers:
+        return FeasibilityReport(True, True, "greedy coloring fits in the register file")
+    return FeasibilityReport(
+        True,
+        False,
+        "clique bound satisfied but greedy coloring exceeded R; feasibility undecided (clique relaxation)",
+    )
 
 
 def allocation_diagnostics(
@@ -56,12 +107,10 @@ def allocation_report_and_diagnostics(
     result: AllocationResult,
     strict: bool = True,
     function_name: Optional[str] = None,
-) -> Tuple[Optional[object], List[Diagnostic]]:
+) -> Tuple[Optional[FeasibilityReport], List[Diagnostic]]:
     """Like :func:`allocation_diagnostics`, also returning the feasibility
     report (``None`` when the bookkeeping is too broken to compute one) so
-    the :func:`repro.alloc.verify.check_allocation` shim pays for it once."""
-    from repro.alloc.verify import is_allocation_feasible
-
+    the ``verify`` stage pays for it once."""
     where = Location(function=function_name)
     diagnostics: List[Diagnostic] = []
     vertices = set(problem.graph.vertices())
@@ -95,7 +144,7 @@ def allocation_report_and_diagnostics(
                 hint="sum the weights of the spilled set",
             )
         )
-    report = None
+    report: Optional[FeasibilityReport] = None
     if not any(d.code in ("ALLOC001", "ALLOC002") for d in diagnostics):
         report = is_allocation_feasible(
             problem.graph, result.allocated, result.num_registers
@@ -122,7 +171,7 @@ def assignment_diagnostics(
     target: Optional[TargetMachine] = None,
     function_name: Optional[str] = None,
 ) -> List[Diagnostic]:
-    """Diagnostics for a concrete register assignment (legacy check order)."""
+    """Diagnostics for a concrete register assignment (stable check order)."""
     diagnostics: List[Diagnostic] = []
     allocated = set(result.allocated)
     missing = sorted(str(v) for v in allocated if v not in assignment)

@@ -8,9 +8,9 @@
   ``check="boundaries"``/``"each"`` contract enforcement calls);
 * :func:`static_errors` — the error-severity subset for quick gating.
 
-Checker execution order is stable (CFG before SSA before opcode sanity) so
-the first error of a run matches the legacy ``verify_function`` walk — the
-migration shims rely on that.
+Checker execution order is stable (CFG before SSA before opcode sanity), so
+the first error of a run is deterministic — ``IRBuilder.finish`` raises it
+and the minimizer rejects candidates on it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.check.registry import CheckRequest, run_checkers
 from repro.ir.function import Function
 from repro.ir.module import Module
 
-#: checkers that inspect bare IR (in legacy-verifier order).
+#: checkers that inspect bare IR (in check order).
 IR_CHECKERS: Tuple[str, ...] = ("cfg", "ssa", "ops")
 
 #: every built-in checker, in the order a full-context check runs them.

@@ -9,13 +9,12 @@ without failing a check run.
 
 The free function :func:`cfg_diagnostics` is the reusable core — the SSA,
 liveness and spill checkers call it to decide whether a function is sound
-enough to run dominator/dataflow computations on, and the
-:func:`repro.ir.validate.verify_function` shim replays its diagnostics.
+enough to run dominator/dataflow computations on.
 """
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.check.diagnostics import Diagnostic, Location, Severity
 from repro.check.registry import Checker, CheckRequest
@@ -26,13 +25,13 @@ STRUCTURAL_CODES = ("CFG001", "CFG002", "CFG003", "CFG004", "CFG007")
 
 
 def cfg_diagnostics(function: Function, notes: bool = True) -> List[Diagnostic]:
-    """All CFG diagnostics for ``function``, in legacy-verifier order.
+    """All CFG diagnostics for ``function``, in a stable order.
 
-    The error ordering deliberately mirrors the historical
-    ``verify_function`` walk (no-blocks, then per-block terminator/target
-    checks in insertion order, then φ arity) so the migration shim can raise
-    the byte-identical first error.  ``notes=False`` suppresses the
-    informational ``CFG005``/``CFG006`` diagnostics.
+    No-blocks first, then per-block terminator/target checks in insertion
+    order, then φ arity — so the first error is the same for every caller
+    (``IRBuilder.finish`` and the minimizer raise or reject on it).
+    ``notes=False`` suppresses the informational ``CFG005``/``CFG006``
+    diagnostics.
     """
     diagnostics: List[Diagnostic] = []
     if len(function) == 0:
@@ -114,8 +113,14 @@ def has_structural_errors(diagnostics: List[Diagnostic]) -> bool:
 def _phi_arity_diagnostics(function: Function) -> List[Diagnostic]:
     """``CFG007``: φs must have exactly one incoming value per predecessor."""
     diagnostics: List[Diagnostic] = []
+    # One pass over the edges (``Function.predecessors`` rescans every block).
+    predecessors: Dict[str, Set[str]] = {block.label: set() for block in function}
     for block in function:
-        preds = set(function.predecessors(block.label))
+        for successor in block.successors():
+            if successor in predecessors:
+                predecessors[successor].add(block.label)
+    for block in function:
+        preds = predecessors[block.label]
         for index, phi in enumerate(block.phis):
             incoming = set(phi.incoming)
             if incoming != preds:

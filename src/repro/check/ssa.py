@@ -4,8 +4,7 @@
 strict-SSA invariants — single assignment (``SSA001``), def-dominates-use
 across blocks (``SSA003``), φ-operand dominance on the incoming edge
 (``SSA004``) and same-block use-before-def (``SSA005``) — fire only when the
-check request expects SSA form (``CheckRequest.ssa``), matching the historic
-``verify_function(require_ssa=True)`` contract.
+check request expects SSA form (``CheckRequest.ssa``).
 
 Dominance needs a well-formed CFG, so the checker bails out silently when
 :func:`repro.check.cfg.cfg_diagnostics` reports structural errors (the CFG
@@ -54,8 +53,8 @@ def defs_exist_diagnostics(function: Function) -> List[Diagnostic]:
 def single_assignment_diagnostics(function: Function) -> List[Diagnostic]:
     """``SSA001``: one aggregated diagnostic naming every multiply-defined reg.
 
-    Aggregated (instead of one diagnostic per register) to preserve the
-    historic exception message of ``verify_function(require_ssa=True)``.
+    Aggregated (instead of one diagnostic per register) so one message
+    lists every offender.
     """
     counts: Dict[VirtualRegister, int] = {}
     for param in function.parameters:
@@ -85,7 +84,7 @@ def dominance_diagnostics(function: Function) -> List[Diagnostic]:
     φ operands count as uses on the incoming edge (``SSA004``); same-block
     violations are use-before-def (``SSA005``); cross-block violations are
     ``SSA003``.  A use of a register with no definition at all also lands
-    here (as ``SSA002``) for parity with the legacy walk, although the
+    here (as ``SSA002``) so the check stands alone, although the
     defs-exist check normally reports it first.
     """
     from repro.analysis.dominators import dominator_tree
@@ -190,7 +189,7 @@ def dominance_diagnostics(function: Function) -> List[Diagnostic]:
 
 
 def ssa_diagnostics(function: Function, require_ssa: bool = False) -> List[Diagnostic]:
-    """Defs-exist plus (optionally) the strict-SSA invariants, legacy order."""
+    """Defs-exist plus (optionally) the strict-SSA invariants, in a stable order."""
     structural = cfg_diagnostics(function, notes=False)
     if has_structural_errors(structural):
         return []

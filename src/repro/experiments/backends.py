@@ -4,10 +4,10 @@
 which ``(instance, register count, allocator)`` cells are missing from the
 store — and delegates *how* to an :class:`ExecutionBackend`:
 
-* :class:`LocalPoolBackend` — the historical in-process path: serial or a
-  :class:`~concurrent.futures.ProcessPoolExecutor` shard pool.  Its records
-  are byte-identical to what ``run_experiment`` produced before the seam
-  existed (pinned by the backend-parity tests).
+* :class:`LocalPoolBackend` — the in-process path: serial, or one task per
+  instance on the package's process pool (:mod:`repro.parallel`).  Its
+  records are byte-identical whatever ``jobs`` is (pinned by the
+  backend-parity tests).
 * :class:`ServiceBackend` — plans the missing cells into batched
   ``POST /v1/batches`` submissions against one or more running allocation
   services (round-robin across endpoints) and polls the results back into
@@ -18,9 +18,9 @@ store — and delegates *how* to an :class:`ExecutionBackend`:
 The backend contract is intentionally narrow: ``run_plan(plan, config,
 emit)`` receives the missing-cell plan and calls ``emit(index, pairs)`` as
 results become available; the runner owns keying, caching, persistence and
-manifests.  ``run_storeless(selected, config)`` serves the store-less
-``run_experiment`` path and only the local backend supports it (a service
-sweep without a store would have nowhere durable to put results).
+manifests.  A store-less ``run_experiment`` plans every cell and hands the
+backend an ``emit`` that only collects records; only the local backend runs
+without a store (a service sweep would have nowhere durable to put results).
 
 Telemetry: the service backend wraps submissions in ``backend:submit``
 spans and polls in ``backend:poll`` spans, and counts ``sweep.submitted``,
@@ -31,14 +31,15 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.alloc.problem import AllocationProblem
 from repro.errors import ServiceError
 from repro.graphs.io import graph_to_dict
+from repro.parallel import run_tasks
 from repro.store.base import record_from_dict
-from repro.telemetry.tracer import TraceSnapshot, current_tracer
+from repro.telemetry.tracer import current_tracer
 
 from repro.experiments import runner
 
@@ -54,17 +55,6 @@ class ExecutionBackend(abc.ABC):
     #: backend identifier recorded in run manifests (``config["backend"]``).
     name = "abstract"
 
-    def run_storeless(
-        self,
-        selected: List[Tuple[int, AllocationProblem, str]],
-        config: "runner.ExperimentConfig",
-    ) -> List["runner.InstanceRecord"]:
-        """Run every cell of ``selected`` without a store (local only)."""
-        raise ServiceError(
-            f"the {self.name!r} execution backend requires a store: "
-            "pass store=... to run_experiment so results have somewhere durable to land"
-        )
-
     @abc.abstractmethod
     def run_plan(
         self,
@@ -76,11 +66,12 @@ class ExecutionBackend(abc.ABC):
 
 
 class LocalPoolBackend(ExecutionBackend):
-    """The in-process backend: serial, or a process-pool shard sweep.
+    """The in-process backend: serial, or one pool task per instance.
 
     ``jobs=None`` (the default) follows ``config.jobs``; an explicit value
-    overrides it.  Both paths produce records byte-identical to the
-    pre-seam ``run_experiment`` — the code here *is* that code, moved.
+    overrides it.  A serial run emits cell by cell, so an interrupted sweep
+    keeps every finished cell; a pooled run (:func:`repro.parallel.run_tasks`)
+    schedules instances dynamically and emits each as it completes.
     """
 
     name = "local"
@@ -90,71 +81,13 @@ class LocalPoolBackend(ExecutionBackend):
             raise ValueError(f"LocalPoolBackend jobs must be >= 1, got {jobs}")
         self.jobs = jobs
 
-    def _jobs(self, config: "runner.ExperimentConfig") -> int:
-        return config.jobs if self.jobs is None else self.jobs
-
-    # -- store-less path ------------------------------------------------ #
-    def run_storeless(
-        self,
-        selected: List[Tuple[int, AllocationProblem, str]],
-        config: "runner.ExperimentConfig",
-    ) -> List["runner.InstanceRecord"]:
-        jobs = self._jobs(config)
-        if jobs <= 1 or len(selected) <= 1:
-            records: List["runner.InstanceRecord"] = []
-            for _, problem, program in selected:
-                records.extend(
-                    runner.run_instance(
-                        problem,
-                        config.allocators,
-                        config.register_counts,
-                        program=program,
-                        verify=config.verify,
-                    )
-                )
-            return records
-
-        workers = min(jobs, len(selected))
-        shards: List[List[Tuple[int, AllocationProblem, str]]] = [[] for _ in range(workers)]
-        for position, item in enumerate(selected):
-            shards[position % workers].append(item)
-
-        tracer = current_tracer()
-        indexed: List[Tuple[int, List["runner.InstanceRecord"]]] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    runner._run_instance_shard,
-                    shard,
-                    list(config.allocators),
-                    list(config.register_counts),
-                    config.verify,
-                    tracer.enabled,
-                )
-                for shard in shards
-            ]
-            # Futures are iterated in submission (shard) order, so worker
-            # telemetry merges deterministically for a given sharding.
-            for shard_index, future in enumerate(futures):
-                pairs, snapshot = future.result()
-                indexed.extend(pairs)
-                if snapshot is not None:
-                    tracer.merge(snapshot, label=f"worker-{shard_index}")
-
-        indexed.sort(key=lambda pair: pair[0])
-        records = []
-        for _, instance_records in indexed:
-            records.extend(instance_records)
-        return records
-
-    # -- store-backed path ---------------------------------------------- #
     def run_plan(
         self,
         plan: List[PlanItem],
         config: "runner.ExperimentConfig",
         emit: EmitFn,
     ) -> None:
-        jobs = self._jobs(config)
+        jobs = config.jobs if self.jobs is None else self.jobs
         if jobs <= 1 or len(plan) <= 1:
             for index, problem, program, missing in plan:
 
@@ -172,26 +105,11 @@ class LocalPoolBackend(ExecutionBackend):
                 )
             return
 
-        tracer = current_tracer()
-        workers = min(jobs, len(plan))
-        snapshots: Dict[int, TraceSnapshot] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(
-                    runner._run_cells_worker, problem, missing, program, config.verify, tracer.enabled
-                ): (plan_position, index, missing)
-                for plan_position, (index, problem, program, missing) in enumerate(plan)
-            }
-            for future in as_completed(futures):
-                plan_position, index, missing = futures[future]
-                results, snapshot = future.result()
-                if snapshot is not None:
-                    snapshots[plan_position] = snapshot
-                emit(index, list(zip(missing, results)))
-        # ``as_completed`` yields in finish order; merging sorted by plan
-        # position keeps the combined trace deterministic regardless.
-        for plan_position in sorted(snapshots):
-            tracer.merge(snapshots[plan_position], label=f"instance-{plan_position}")
+        worker = partial(runner._run_cells_worker, verify=config.verify)
+        tasks = [(problem, missing, program) for _, problem, program, missing in plan]
+        for position, records in run_tasks(worker, tasks, jobs):
+            index, _, _, missing = plan[position]
+            emit(index, list(zip(missing, records)))
 
 
 class ServiceBackend(ExecutionBackend):
@@ -293,26 +211,17 @@ class ServiceBackend(ExecutionBackend):
                 "priority": self.priority,
                 "name": f"sweep-batch-{position:05d}",
             }
-            if tracer.enabled:
-                with tracer.span(
-                    "backend:submit", category="backend", endpoint=endpoint, cells=len(batch)
-                ):
-                    response = client.submit_batch(body)
-            else:
+            with tracer.span(
+                "backend:submit", category="backend", endpoint=endpoint, cells=len(batch)
+            ):
                 response = client.submit_batch(body)
-            if tracer.enabled:
-                tracer.count("sweep.submitted", len(batch))
-                if response.get("deduped"):
-                    tracer.count("sweep.deduped", len(batch))
+            tracer.count("sweep.submitted", len(batch))
+            if response.get("deduped"):
+                tracer.count("sweep.deduped", len(batch))
             submitted.append((client, endpoint, response["job"]["id"], batch))
 
         for client, endpoint, job_id, batch in submitted:
-            if tracer.enabled:
-                with tracer.span(
-                    "backend:poll", category="backend", endpoint=endpoint, job=job_id
-                ):
-                    job = client.wait(job_id, timeout=self.timeout)
-            else:
+            with tracer.span("backend:poll", category="backend", endpoint=endpoint, job=job_id):
                 job = client.wait(job_id, timeout=self.timeout)
             if job["state"] != "done":
                 raise ServiceError(
@@ -345,5 +254,4 @@ class ServiceBackend(ExecutionBackend):
                 by_index.setdefault(index, []).append((cell, record))
             for index, pairs in by_index.items():
                 emit(index, pairs)
-            if tracer.enabled:
-                tracer.count("sweep.completed", len(batch))
+            tracer.count("sweep.completed", len(batch))

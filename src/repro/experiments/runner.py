@@ -2,8 +2,8 @@
 
 Sweeps are embarrassingly parallel across instances: every (instance,
 register count, allocator) cell is independent.  ``ExperimentConfig.jobs``
-enables a process-pool sweep that shards the corpus over workers while
-keeping the returned record list byte-for-byte identical to the serial order
+enables a process-pool sweep that runs one task per instance while keeping
+the returned record list byte-for-byte identical to the serial order
 (records are reassembled by instance index, and within one instance the
 register-count × allocator nesting is preserved).
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import time
 import uuid
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -31,10 +30,11 @@ from repro.alloc import get_allocator
 from repro.alloc.base import Allocator
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
+from repro.errors import ServiceError
 from repro.pipeline.passes import run_allocator
 from repro.store.base import ExperimentStore, RunManifest, current_git_rev, utc_now_iso
 from repro.store.keys import CellKey, problem_digest
-from repro.telemetry.tracer import Tracer, TraceSnapshot, current_tracer, use_tracer
+from repro.telemetry.tracer import current_tracer
 from repro.workloads.corpus import Corpus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (backends imports us)
@@ -188,45 +188,12 @@ def run_instance(
     return run_cells(problem, cells, program=program, verify=verify)
 
 
-def _run_instance_shard(
-    shard: Sequence[Tuple[int, AllocationProblem, str]],
-    allocator_names: Sequence[str],
-    register_counts: Sequence[int],
-    verify: bool,
-    traced: bool = False,
-) -> Tuple[List[Tuple[int, List[InstanceRecord]]], Optional[TraceSnapshot]]:
-    """Worker entry point: run one shard of (index, problem, program) triples.
-
-    Module-level so it pickles for :class:`ProcessPoolExecutor`.  The
-    original corpus index travels with each result so the parent can restore
-    the serial record order deterministically.  When the parent is tracing
-    (``traced``), the worker collects spans/counters into its own tracer and
-    ships the snapshot back for the parent to merge in shard order.
-    """
-    tracer = Tracer() if traced else None
-    out: List[Tuple[int, List[InstanceRecord]]] = []
-    with use_tracer(tracer) if tracer is not None else nullcontext():
-        for index, problem, program in shard:
-            out.append(
-                (index, run_instance(problem, allocator_names, register_counts, program=program, verify=verify))
-            )
-    return out, (tracer.snapshot() if tracer is not None else None)
-
-
 def _run_cells_worker(
-    problem: AllocationProblem,
-    cells: Sequence[Cell],
-    program: str,
-    verify: bool,
-    traced: bool = False,
-) -> Tuple[List[InstanceRecord], Optional[TraceSnapshot]]:
-    """Worker entry point of the store-backed parallel sweep (one instance)."""
-    if not traced:
-        return run_cells(problem, cells, program=program, verify=verify), None
-    tracer = Tracer()
-    with use_tracer(tracer):
-        records = run_cells(problem, cells, program=program, verify=verify)
-    return records, tracer.snapshot()
+    task: Tuple[AllocationProblem, Sequence[Cell], str], verify: bool
+) -> List[InstanceRecord]:
+    """Pool worker of the parallel sweep: one instance's ``(problem, cells, program)``."""
+    problem, cells, program = task
+    return run_cells(problem, cells, program=program, verify=verify)
 
 
 def _select_instances(
@@ -300,7 +267,40 @@ def run_experiment(
 
     if store is not None:
         return _run_with_store(corpus, config, selected, store, resume, backend)
-    return backend.run_storeless(selected, config)
+    from repro.experiments.backends import ServiceBackend
+
+    if isinstance(backend, ServiceBackend):
+        raise ServiceError(
+            f"the {backend.name!r} execution backend requires a store: "
+            "pass store=... to run_experiment so results have somewhere durable to land"
+        )
+    full_cells = _full_cells(config)
+    cell_records: Dict[Tuple[int, Cell], InstanceRecord] = {}
+
+    def collect(index: int, pairs: List[Tuple[Cell, InstanceRecord]]) -> None:
+        for cell, record in pairs:
+            cell_records[(index, cell)] = record
+
+    backend.run_plan(
+        [(index, problem, program, full_cells) for index, problem, program in selected],
+        config,
+        collect,
+    )
+    return _in_order(selected, full_cells, cell_records)
+
+
+def _full_cells(config: ExperimentConfig) -> List[Cell]:
+    """Every cell of one instance, in record order (register count outermost)."""
+    return [(r, name) for r in config.register_counts for name in config.allocators]
+
+
+def _in_order(
+    selected: List[Tuple[int, AllocationProblem, str]],
+    full_cells: List[Cell],
+    cell_records: Dict[Tuple[int, Cell], InstanceRecord],
+) -> List[InstanceRecord]:
+    """The sweep's records in serial order: instance, then cell."""
+    return [cell_records[(index, cell)] for index, _, _ in selected for cell in full_cells]
 
 
 # ---------------------------------------------------------------------- #
@@ -320,9 +320,7 @@ def _plan_and_execute(
     — everything :func:`_run_with_store` and
     :func:`run_streamed_experiment` need to assemble records and manifests.
     """
-    full_cells: List[Cell] = [
-        (r, name) for r in config.register_counts for name in config.allocators
-    ]
+    full_cells = _full_cells(config)
 
     # Canonicalize allocator names/versions once; aliases ("layered") key the
     # same cells as their paper name ("NL").
@@ -413,11 +411,7 @@ def _run_with_store(
         selected, config, store, resume, backend, target
     )
     cells_total = len(selected) * len(full_cells)
-
-    records: List[InstanceRecord] = []
-    for index, _problem, _program in selected:
-        for cell in full_cells:
-            records.append(cell_records[(index, cell)])
+    records = _in_order(selected, full_cells, cell_records)
 
     if isinstance(corpus, Corpus):
         suite, corpus_target, seed, scale = corpus.suite, corpus.target, corpus.seed, corpus.scale

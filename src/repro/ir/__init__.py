@@ -34,7 +34,6 @@ from repro.ir.builder import FunctionBuilder
 from repro.ir.interpreter import ExecutionResult, Interpreter, interpret
 from repro.ir.printer import print_function, print_module
 from repro.ir.parser import parse_function, parse_module
-from repro.ir.validate import verify_function, verify_module
 
 __all__ = [
     "Value",
@@ -64,6 +63,4 @@ __all__ = [
     "print_module",
     "parse_function",
     "parse_module",
-    "verify_function",
-    "verify_module",
 ]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from repro.errors import IRError
+from repro.errors import IRError, VerificationError
 from repro.ir.basic_block import BasicBlock
 from repro.ir.function import Function
 from repro.ir.instructions import (
@@ -179,7 +179,10 @@ class FunctionBuilder:
     def finish(self, verify: bool = True) -> Function:
         """Return the built function, verifying it by default."""
         if verify:
-            from repro.ir.validate import verify_function
+            # Imported here: the checkers import the IR package.
+            from repro.check import static_errors
 
-            verify_function(self.function, require_ssa=False)
+            errors = static_errors(self.function)
+            if errors:
+                raise VerificationError(errors[0].message)
         return self.function

@@ -9,6 +9,9 @@ The grammar is line-oriented:
   ``%d = phi [%a, entry], [%b, loop]``;
 * ``}`` closes the function.
 
+Branch targets must name a block of the same function; an unknown label is
+a :class:`~repro.errors.ParseError` naming it.
+
 Lines starting with ``#`` or ``;`` and blank lines are ignored.
 """
 
@@ -182,9 +185,17 @@ def _parse_function_body(
     function = Function(name, params)
     index += 1
     current_label: Optional[str] = None
+    #: (line, block, target) of every branch, resolved once all labels are known.
+    branches: List[Tuple[int, str, str]] = []
     while index < len(lines):
         line_number, line_text = lines[index]
         if line_text == "}":
+            labels = set(function.block_labels())
+            for line, block, target in branches:
+                if target not in labels:
+                    raise ParseError(
+                        f"branch to unknown label {target!r}", line, function=name, block=block
+                    )
             return function, index + 1
         label_match = _LABEL_RE.match(line_text)
         if label_match:
@@ -201,6 +212,7 @@ def _parse_function_body(
         except ParseError as error:
             raise _located(error, name, current_label) from None
         function.block(current_label).append(instruction)
+        branches.extend((line_number, current_label, target) for target in instruction.targets)
         index += 1
     raise ParseError(
         f"unterminated function {name!r} (missing '}}')",

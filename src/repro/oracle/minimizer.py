@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from typing import Callable, List, Sequence, Tuple
 
-from repro.errors import IRError, VerificationError
+from repro.check import static_errors
+from repro.errors import IRError
 from repro.ir.function import Function
 from repro.ir.instructions import Opcode, make_branch
-from repro.ir.validate import verify_function
 from repro.ir.values import Constant
 
 IsFailing = Callable[[Function], bool]
@@ -43,10 +43,9 @@ Site = Tuple[str, str, int]
 def _is_valid(function: Function) -> bool:
     """Whether the candidate is structurally legal IR."""
     try:
-        verify_function(function, require_ssa=False)
-    except (VerificationError, IRError):
+        return not static_errors(function)
+    except IRError:
         return False
-    return True
 
 
 def _deletion_sites(function: Function) -> List[Site]:

@@ -17,7 +17,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
-from repro.alloc.verify import FeasibilityReport
+from repro.check.allocation import FeasibilityReport
 from repro.analysis.live_ranges import LiveInterval
 from repro.analysis.liveness import LivenessInfo
 from repro.graphs.graph import Graph, Vertex

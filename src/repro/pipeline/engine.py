@@ -21,16 +21,16 @@ every serial run and for SQLite-backed parallel runs; a JSONL-backed
 persists only cells the store does not already hold) — see
 :meth:`Pipeline.run_many`.
 
-Batch runs shard over a :class:`~concurrent.futures.ProcessPoolExecutor`
-exactly like the experiment runner: round-robin shards, results reassembled
-in input order, so ``jobs`` never changes the output.
+Batch runs deal the functions into round-robin shards on the package's
+process pool (:mod:`repro.parallel`) and reassemble the results in input
+order, so ``jobs`` never changes the output.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Any, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -39,11 +39,12 @@ from repro.check import IR_CHECKERS, CheckError, Severity, check_pipeline_contex
 from repro.errors import PipelineError
 from repro.ir.function import Function
 from repro.ir.module import Module
+from repro.parallel import round_robin, run_tasks
 from repro.pipeline.context import PipelineContext
 from repro.pipeline.passes import Pass, allocate_cell_key, get_pass
 from repro.pipeline.spec import PipelineSpec
 from repro.store.base import ExperimentStore, open_store
-from repro.telemetry.tracer import Tracer, current_tracer, scalar_attrs, use_tracer
+from repro.telemetry.tracer import current_tracer, scalar_attrs, use_tracer
 
 StoreLike = Union[ExperimentStore, str, Path, None]
 
@@ -249,10 +250,7 @@ class Pipeline:
                 self._store.flush()
             return contexts
 
-        workers = min(jobs, len(items))
-        shards: List[List[Tuple[int, Function, Optional[str]]]] = [[] for _ in range(workers)]
-        for position, item in enumerate(items):
-            shards[position % workers].append(item)
+        shards = round_robin(items, jobs)
 
         # SQLite stores are safe for one connection per worker; other setups
         # compute storeless in the workers and persist through the parent.
@@ -263,25 +261,13 @@ class Pipeline:
         elif self._store is not None:
             self._warn_parent_persist()
 
-        spec = self.spec
         indexed: List[Tuple[int, PipelineContext]] = []
-        # Workers cannot share the parent's tracer: when tracing, each builds
-        # its own and ships a snapshot back with its results; snapshots merge
-        # in shard order (futures are iterated in submission order), so span
-        # ordering and lane numbering are deterministic for a given sharding.
         with use_tracer(tracer), tracer.span(
-            "pipeline:run_many", category="pipeline", functions=len(items), jobs=workers
+            "pipeline:run_many", category="pipeline", functions=len(items), jobs=len(shards)
         ):
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [
-                    pool.submit(_run_shard, spec, worker_store_path, shard, tracer.enabled)
-                    for shard in shards
-                ]
-                for shard_index, future in enumerate(futures):
-                    pairs, trace_snapshot = future.result()
-                    indexed.extend(pairs)
-                    if trace_snapshot is not None:
-                        tracer.merge(trace_snapshot, label=f"worker-{shard_index}")
+            worker = partial(_run_shard, self.spec, worker_store_path)
+            for _, pairs in run_tasks(worker, shards, jobs):
+                indexed.extend(pairs)
         indexed.sort(key=lambda pair: pair[0])
         contexts = [context for _, context in indexed]
 
@@ -489,24 +475,16 @@ def _run_shard(
     spec: PipelineSpec,
     store_path: Optional[str],
     shard: Sequence[Tuple[int, Function, Optional[str]]],
-    traced: bool = False,
-) -> Tuple[List[Tuple[int, PipelineContext]], Optional[Any]]:
-    """Worker entry point: run one shard with its own store connection.
+) -> List[Tuple[int, PipelineContext]]:
+    """Pool worker: run one shard with its own store connection.
 
-    Module-level so it pickles for :class:`ProcessPoolExecutor`; the input
-    index travels with each context so the parent restores input order.
-    When the parent is tracing (``traced``), the worker collects into its own
-    tracer and returns the picklable snapshot for the parent to merge.
+    The input index travels with each context so the parent restores input
+    order.
     """
     store = open_store(store_path) if store_path is not None else None
-    tracer = Tracer() if traced else None
     try:
-        pipeline = Pipeline(spec, store=store, tracer=tracer)
-        pairs = [
-            (index, pipeline.run(function, name=name))
-            for index, function, name in shard
-        ]
-        return pairs, (tracer.snapshot() if tracer is not None else None)
+        pipeline = Pipeline(spec, store=store)
+        return [(index, pipeline.run(function, name=name)) for index, function, name in shard]
     finally:
         if store is not None:
             store.close()

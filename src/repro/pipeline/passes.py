@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import abc
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple, Type
 
 from repro.alloc.assignment import assign_constrained, assign_registers
 from repro.alloc.base import Allocator, get_allocator
@@ -32,7 +32,6 @@ from repro.alloc.load_store_opt import remove_redundant_reloads
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
 from repro.alloc.spill_code import insert_spill_code
-from repro.alloc.verify import check_allocation, check_assignment
 from repro.analysis.dense import (
     build_interference_graph_dense,
     dense_live_intervals,
@@ -44,7 +43,10 @@ from repro.analysis.liveness import liveness
 from repro.analysis.spill_costs import spill_costs
 from repro.analysis.ssa_construction import construct_ssa
 from repro.analysis.ssa_destruction import coalesce_copies, destruct_ssa
-from repro.errors import AllocationError, PipelineError
+from repro.check.allocation import allocation_report_and_diagnostics, assignment_diagnostics
+from repro.check.diagnostics import Diagnostic
+from repro.check.targets import target_diagnostics
+from repro.errors import AllocationError, InvalidAllocationError, PipelineError
 from repro.pipeline.context import PipelineContext
 from repro.store.keys import CellKey, problem_digest
 from repro.telemetry.tracer import current_tracer
@@ -79,8 +81,15 @@ def run_allocator(
     result = allocator.allocate(problem)
     elapsed = time.perf_counter() - start
     if verify:
-        check_allocation(problem, result, strict=False)
+        _raise_first_error(allocation_report_and_diagnostics(problem, result, strict=False)[1])
     return result, elapsed
+
+
+def _raise_first_error(diagnostics: Iterable[Diagnostic]) -> None:
+    """Raise :class:`InvalidAllocationError` with the first error's message."""
+    for diagnostic in diagnostics:
+        if diagnostic.is_error:
+            raise InvalidAllocationError(diagnostic.message)
 
 
 def allocate_cell_key(
@@ -548,7 +557,7 @@ class VerifyPass(Pass):
     When the ``assign`` stage produced a concrete assignment, it is also
     checked against the interference graph *and* the target's register file
     (register count and names) via
-    :func:`repro.alloc.verify.check_assignment`, and against the machine
+    :func:`repro.check.assignment_diagnostics`, and against the machine
     model (classes, aliasing, pre-colorings, reserved set) via
     :func:`repro.check.targets.target_diagnostics` — any error-severity
     ``TGT*`` finding raises :class:`InvalidAllocationError`.
@@ -559,18 +568,18 @@ class VerifyPass(Pass):
     provides = ("report",)
 
     def run(self, context, spec, store=None):
-        # Lazily imported like the oracle stage: keeps pipeline import time
-        # free of the machine-verifier package on check-free runs.
-        from repro.check.targets import target_diagnostics
-        from repro.errors import InvalidAllocationError
-
         start = time.perf_counter()
-        report = check_allocation(context.problem, context.result, strict=True)
+        report, diagnostics = allocation_report_and_diagnostics(
+            context.problem, context.result, strict=True
+        )
+        _raise_first_error(diagnostics)
         assignment_checked = False
         target_checked = False
         if context.assignment is not None:
-            check_assignment(
-                context.problem, context.result, context.assignment, target=context.target
+            _raise_first_error(
+                assignment_diagnostics(
+                    context.problem, context.result, context.assignment, target=context.target
+                )
             )
             assignment_checked = True
             findings = target_diagnostics(

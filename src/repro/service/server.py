@@ -205,7 +205,13 @@ def _make_handler(service: AllocationService) -> type:
             self.wfile.write(body)
 
         def _read_body(self) -> Any:
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(header)
+            except ValueError:
+                # The body's extent is unknown, so the connection cannot be reused.
+                self.close_connection = True
+                raise ServiceError(f"invalid Content-Length header {header!r}") from None
             if length <= 0:
                 raise ServiceError("request body required")
             if length > MAX_BODY_BYTES:

@@ -12,10 +12,12 @@ Each worker thread loops claim → execute → complete/fail:
   workers never cross-talk), wrapped in a ``service:job`` span; the job's
   snapshot is folded into the pool's :class:`ServiceTelemetry` aggregate
   afterwards;
-* a :class:`~repro.errors.ReproError` is a *deterministic* domain failure
-  — the job fails terminally (retrying would fail identically); any other
-  exception is presumed transient and retries with backoff until the
-  queue dead-letters it.
+* only environmental failures retry with backoff until the queue
+  dead-letters the job: ``OSError``, ``sqlite3.OperationalError`` (a busy
+  or locked database), or the worker itself being interrupted.  Any other
+  exception — a :class:`~repro.errors.ReproError` domain failure or a bug
+  such as an ``AttributeError`` — is deterministic: the job fails on its
+  first attempt with the exception's type and message recorded.
 
 The pool requires a SQLite store: worker threads each need a connection
 with shared visibility of freshly written cells, which the append-only
@@ -24,6 +26,7 @@ JSONL backend cannot provide (see ``ExperimentStore`` docs).
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 import time
 import traceback
@@ -34,6 +37,11 @@ from repro.service.api import execute_job
 from repro.service.queue import JobQueue
 from repro.store.base import open_store
 from repro.telemetry.tracer import Tracer, use_tracer
+
+
+def _is_transient(error: BaseException) -> bool:
+    """Whether a rerun of the failed job could succeed (see module docs)."""
+    return isinstance(error, (OSError, sqlite3.OperationalError)) or not isinstance(error, Exception)
 
 
 class ServiceTelemetry:
@@ -250,7 +258,7 @@ class WorkerPool:
                     "".join(
                         traceback.format_exception_only(type(error), error)
                     ).strip(),
-                    retryable=True,
+                    retryable=_is_transient(error),
                 )
         except ReproError:
             # The job changed state under us (e.g. recover() raced a slow

@@ -22,13 +22,24 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.alloc.problem import AllocationProblem
+from repro.pipeline.engine import Pipeline
+from repro.pipeline.spec import PipelineSpec
 from repro.targets import get_target
 from repro.targets.machine import TargetMachine
-from repro.workloads.extraction import extract_chordal_problem, extract_general_problem
 from repro.workloads.programs import generate_function
 from repro.workloads.suites import SuiteSpec, get_suite
 
 import random
+
+#: the front-end slice of the canonical stage chain: stop at the problem.
+_EXTRACTION_STAGES = ("liveness", "interference", "extract")
+
+
+def _extractor(suite: SuiteSpec, target: TargetMachine) -> Pipeline:
+    """The front end of one suite: SSA lowering gives the chordal graphs of
+    the ST231/ARMv7 studies; non-SSA lowering (SSA and back out with φ-web
+    and move coalescing) gives the general graphs of the JIT study."""
+    return Pipeline(PipelineSpec(target=target, ssa=suite.chordal, stages=_EXTRACTION_STAGES))
 
 
 @dataclass
@@ -108,6 +119,7 @@ class CorpusStream:
         self.suite = suite
         self.target = target
         self.seed = int(seed)
+        self._extractor = _extractor(suite, target)
         #: (program_name, profile) cycle the stream draws from.
         self._profiles = [
             (program_name, profile)
@@ -127,9 +139,7 @@ class CorpusStream:
         rng = random.Random(self.seed * 2**32 + index)
         function = generate_function(f"{program_name}_fn{index}", profile, rng)
         name = f"corpus/{program_name}/fn{index}"
-        if self.suite.chordal:
-            return extract_chordal_problem(function, self.target, name=name)
-        return extract_general_problem(function, self.target, name=name)
+        return self._extractor.run(function, name=name).problem
 
     def __iter__(self) -> Iterator[AllocationProblem]:
         for index in range(self.count):
@@ -156,6 +166,7 @@ def build_corpus(
         target = get_target(target)
 
     rng = random.Random(seed)
+    extractor = _extractor(suite, target)
     corpus = Corpus(suite=suite.name, target=target.name, seed=seed, scale=scale)
     index = 0
     for program_name, (num_functions, profile) in suite.programs.items():
@@ -163,11 +174,7 @@ def build_corpus(
         for function_index in range(count):
             function = generate_function(f"{program_name}_fn{function_index}", profile, rng)
             name = f"{suite.name}/{program_name}/fn{function_index}"
-            if suite.chordal:
-                problem = extract_chordal_problem(function, target, name=name)
-            else:
-                problem = extract_general_problem(function, target, name=name)
-            corpus.problems.append(problem)
+            corpus.problems.append(extractor.run(function, name=name).problem)
             corpus.program_of[index] = program_name
             index += 1
     return corpus

@@ -8,7 +8,7 @@ from repro.alloc.fixed_point import BiasedFixedPointLayeredAllocator, FixedPoint
 from repro.alloc.layered import LayeredOptimalAllocator
 from repro.alloc.optimal import OptimalAllocator
 from repro.alloc.problem import AllocationProblem
-from repro.alloc.verify import check_allocation
+from repro.check import allocation_diagnostics
 from repro.graphs.generators import random_chordal_graph
 from repro.graphs.graph import Graph
 
@@ -95,7 +95,7 @@ def test_bl_allocations_are_feasible(figure4_graph, figure7_graph):
         for registers in (1, 2, 3):
             problem = make_problem(graph, registers)
             result = BiasedLayeredAllocator().allocate(problem)
-            assert check_allocation(problem, result).feasible
+            assert allocation_diagnostics(problem, result) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -110,7 +110,7 @@ def test_fpl_never_worse_than_nl(figure4_graph, figure7_graph, figure2_graph):
             assert fpl.spill_cost <= nl.spill_cost + 1e-9
             # FPL extends NL's allocation, it never drops anything.
             assert nl.allocated <= fpl.allocated
-            assert check_allocation(problem, fpl).feasible
+            assert allocation_diagnostics(problem, fpl) == []
 
 
 def test_fpl_allocates_beyond_r_layers_when_possible():
@@ -137,7 +137,7 @@ def test_fpl_allocates_beyond_r_layers_when_possible():
     problem = make_problem(graph, 2)
     nl = LayeredOptimalAllocator().allocate(problem)
     fpl = FixedPointLayeredAllocator().allocate(problem)
-    assert check_allocation(problem, fpl).feasible
+    assert allocation_diagnostics(problem, fpl) == []
     # NL misses x (spills {h3, x}); FPL recovers it (spills only {h3}).
     assert nl.spilled == frozenset({"h3", "x"})
     assert fpl.spilled == frozenset({"h3"})
@@ -158,7 +158,7 @@ def test_bfpl_combines_bias_and_fixed_point(figure4_graph):
     problem = make_problem(figure4_graph, 2)
     bfpl = BiasedFixedPointLayeredAllocator().allocate(problem)
     optimal = OptimalAllocator().allocate(problem)
-    assert check_allocation(problem, bfpl).feasible
+    assert allocation_diagnostics(problem, bfpl) == []
     assert bfpl.spill_cost >= optimal.spill_cost - 1e-9
     # On this small example BFPL reaches the optimum.
     assert bfpl.spill_cost == pytest.approx(optimal.spill_cost)
@@ -187,6 +187,6 @@ def test_fpl_and_bfpl_property_feasible_and_no_worse_than_nl(seed, n, registers)
     nl = LayeredOptimalAllocator().allocate(problem)
     for allocator in (FixedPointLayeredAllocator(), BiasedFixedPointLayeredAllocator()):
         result = allocator.allocate(problem)
-        assert check_allocation(problem, result).feasible
+        assert allocation_diagnostics(problem, result) == []
     fpl = FixedPointLayeredAllocator().allocate(problem)
     assert fpl.spill_cost <= nl.spill_cost + 1e-9

@@ -8,13 +8,13 @@ from repro.errors import AllocationError
 from repro.alloc.linear_scan import BeladyLinearScanAllocator, LinearScanAllocator
 from repro.alloc.optimal import OptimalAllocator
 from repro.alloc.problem import AllocationProblem
-from repro.alloc.verify import check_allocation
+from repro.check import allocation_diagnostics
 from repro.analysis.live_ranges import LiveInterval, live_intervals
 from repro.analysis.ssa_construction import construct_ssa
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph, random_chordal_graph
 from repro.graphs.graph import Graph
 from repro.ir.values import VirtualRegister
-from repro.workloads.extraction import extract_chordal_problem
+from repro.pipeline import Pipeline
 
 
 def make_problem(graph, registers, intervals=None):
@@ -41,7 +41,7 @@ def test_gc_on_complete_graph_keeps_r_vertices():
     problem = make_problem(graph, 3)
     result = ChaitinBriggsAllocator().allocate(problem)
     assert result.num_allocated == 3
-    assert check_allocation(problem, result).feasible
+    assert allocation_diagnostics(problem, result) == []
 
 
 def test_gc_prefers_spilling_cheap_high_degree_nodes():
@@ -73,7 +73,7 @@ def test_gc_is_feasible_and_bounded_by_optimal(figure4_graph):
         problem = make_problem(figure4_graph, registers)
         gc = ChaitinBriggsAllocator().allocate(problem)
         optimal = OptimalAllocator().allocate(problem)
-        assert check_allocation(problem, gc).feasible
+        assert allocation_diagnostics(problem, gc) == []
         assert gc.spill_cost >= optimal.spill_cost - 1e-9
 
 
@@ -83,7 +83,7 @@ def test_gc_property_feasible(seed, n, registers):
     graph = random_chordal_graph(n, rng=seed)
     problem = make_problem(graph, registers)
     result = ChaitinBriggsAllocator().allocate(problem)
-    assert check_allocation(problem, result).feasible
+    assert allocation_diagnostics(problem, result) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -147,8 +147,8 @@ def test_bls_ignores_furthest_rule_when_costs_differ_a_lot():
 
 def test_linear_scan_from_real_function_keeps_pressure_bounded(loop_function):
     ssa = construct_ssa(loop_function)
-    problem = extract_chordal_problem(loop_function, "st231")
-    problem = problem.with_registers(3)
+    front_end = Pipeline.from_spec("liveness,interference,extract", target="st231")
+    problem = front_end.run(loop_function).problem.with_registers(3)
     result = LinearScanAllocator().allocate(problem)
     # The kept intervals overlap at most R at a time by construction.
     kept = [i for i in problem.intervals if i.register.name in result.allocated]
@@ -165,7 +165,8 @@ def test_linear_scan_without_intervals_synthesizes_them(figure4_graph):
 
 
 def test_ls_and_bls_costs_at_least_optimal(loop_function):
-    problem = extract_chordal_problem(loop_function, "st231").with_registers(2)
+    front_end = Pipeline.from_spec("liveness,interference,extract", target="st231")
+    problem = front_end.run(loop_function).problem.with_registers(2)
     optimal = OptimalAllocator().allocate(problem)
     for allocator in (LinearScanAllocator(), BeladyLinearScanAllocator()):
         result = allocator.allocate(problem)

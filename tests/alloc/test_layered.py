@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.alloc.base import available_allocators, get_allocator
 from repro.alloc.layered import LayeredOptimalAllocator, allocate_layered, optimal_layer
 from repro.alloc.problem import AllocationProblem
-from repro.alloc.verify import check_allocation, is_allocation_feasible
+from repro.check.allocation import allocation_diagnostics, is_allocation_feasible
 from repro.errors import AllocationError
 from repro.graphs.generators import complete_graph, path_graph, random_chordal_graph
 from repro.graphs.stable_set import is_stable_set
@@ -82,7 +82,7 @@ def test_nl_one_register_keeps_max_stable_set(figure4_graph):
     result = LayeredOptimalAllocator().allocate(problem)
     assert is_stable_set(figure4_graph, result.allocated)
     assert figure4_graph.total_weight(result.allocated) == 8
-    check_allocation(problem, result)
+    assert allocation_diagnostics(problem, result) == []
 
 
 def test_nl_result_bookkeeping_consistent(figure4_graph):
@@ -99,8 +99,7 @@ def test_nl_allocation_always_feasible(figure4_graph, figure7_graph, figure2_gra
         for registers in (1, 2, 3):
             problem = make_problem(graph, registers)
             result = LayeredOptimalAllocator().allocate(problem)
-            report = check_allocation(problem, result)
-            assert report.feasible
+            assert allocation_diagnostics(problem, result) == []
 
 
 def test_nl_on_complete_graph_allocates_r_heaviest():
@@ -130,7 +129,7 @@ def test_nl_step_two_is_feasible_and_no_worse_than_step_one(figure4_graph):
     problem = make_problem(figure4_graph, 2)
     one = LayeredOptimalAllocator(step=1).allocate(problem)
     two = LayeredOptimalAllocator(step=2).allocate(problem)
-    check_allocation(problem, two)
+    assert allocation_diagnostics(problem, two) == []
     assert two.spill_cost <= one.spill_cost + 1e-9
 
 
@@ -140,7 +139,6 @@ def test_nl_property_feasible_on_random_chordal_graphs(seed, n, registers):
     graph = random_chordal_graph(n, rng=seed)
     problem = make_problem(graph, registers)
     result = LayeredOptimalAllocator().allocate(problem)
-    report = check_allocation(problem, result)
-    assert report.feasible
+    assert allocation_diagnostics(problem, result) == []
     # The allocation is a union of at most R stable sets, hence R-colorable.
     assert result.stats["layers"] <= max(registers, 0)

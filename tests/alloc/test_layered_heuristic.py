@@ -9,7 +9,7 @@ from repro.alloc.layered_heuristic import (
 )
 from repro.alloc.optimal import OptimalAllocator
 from repro.alloc.problem import AllocationProblem
-from repro.alloc.verify import check_allocation
+from repro.check import allocation_diagnostics
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -99,8 +99,7 @@ def test_lh_on_non_chordal_graph_is_feasible():
     graph = cycle_graph(5, weights={f"v{i}": float(i + 1) for i in range(5)})
     problem = make_problem(graph, 2)
     result = LayeredHeuristicAllocator().allocate(problem)
-    report = check_allocation(problem, result)
-    assert report.feasible
+    assert allocation_diagnostics(problem, result) == []
     assert result.stats["clusters"] >= 2
 
 
@@ -129,7 +128,7 @@ def test_lh_zero_registers_spills_everything():
 def test_lh_works_on_chordal_graphs_too(figure4_graph):
     problem = make_problem(figure4_graph, 2)
     result = LayeredHeuristicAllocator().allocate(problem)
-    assert check_allocation(problem, result).feasible
+    assert allocation_diagnostics(problem, result) == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -139,8 +138,7 @@ def test_lh_property_feasible_on_random_general_graphs(seed, n, registers, p):
     problem = make_problem(graph, registers)
     result = LayeredHeuristicAllocator().allocate(problem)
     # The allocation is a union of at most R stable sets: always R-colorable.
-    report = check_allocation(problem, result)
-    assert report.feasible
+    assert allocation_diagnostics(problem, result) == []
 
 
 @settings(max_examples=15, deadline=None)
@@ -157,4 +155,4 @@ def test_lh_close_to_layered_optimal_on_chordal_graphs(seed, n):
     # optimal's own slack, but it can be worse; just check both are feasible
     # and LH is within a generous factor.
     assert lh.spill_cost + 1e-9 >= nl.spill_cost or lh.spill_cost <= problem.total_weight
-    assert check_allocation(problem, lh).feasible
+    assert allocation_diagnostics(problem, lh) == []

@@ -6,7 +6,7 @@ from repro.analysis.ssa_construction import construct_ssa
 from repro.ir.instructions import Opcode
 from repro.ir.interpreter import interpret
 from repro.ir.parser import parse_function
-from repro.ir.validate import verify_function
+from repro.check import static_errors
 from repro.workloads.programs import GeneratorProfile, generate_function
 
 
@@ -33,7 +33,7 @@ use:
     )
     naive, naive_stats = insert_spill_code(fn, ["v"])
     optimized, stats = insert_optimized_spill_code(fn, ["v"])
-    verify_function(optimized)
+    assert static_errors(optimized) == []
     assert naive_stats["loads"] == 2
     assert stats.loads_before == 2
     assert stats.loads_after == 1
@@ -77,7 +77,7 @@ two:
 """
     )
     optimized, stats = insert_optimized_spill_code(fn, ["v"])
-    verify_function(optimized)
+    assert static_errors(optimized) == []
     # The definition block needs no reload (store keeps it available), but
     # each successor block still reloads once: the optimization is local.
     assert stats.loads_after == 2
@@ -102,7 +102,7 @@ def test_optimization_never_increases_loads_on_generated_programs():
         spilled = [reg.name for reg in ssa.virtual_registers()][::3]
         naive, naive_stats = insert_spill_code(ssa, spilled)
         optimized, stats = insert_optimized_spill_code(ssa, spilled)
-        verify_function(optimized)
+        assert static_errors(optimized) == []
         assert stats.loads_after <= stats.loads_before
         assert stats.loads_before == naive_stats["loads"]
         assert count_loads(optimized) == stats.loads_after
@@ -141,7 +141,7 @@ def test_dynamic_overhead_drops_after_optimization(loop_function):
 def _semantics_preserved(text, arguments_sets=((0,), (3,), (9,))):
     fn = parse_function(text)
     optimized, removed = remove_redundant_reloads(fn)
-    verify_function(optimized)
+    assert static_errors(optimized) == []
     for arguments in arguments_sets:
         assert (
             interpret(optimized, arguments).return_value
@@ -225,7 +225,7 @@ entry:
 """
     )
     optimized, removed = remove_redundant_reloads(fn)
-    verify_function(optimized)
+    assert static_errors(optimized) == []
     assert removed == 1
     assert interpret(optimized, [3]).return_value == interpret(fn, [3]).return_value
 
@@ -252,7 +252,7 @@ join:
 """
     )
     optimized, removed = remove_redundant_reloads(fn)
-    verify_function(optimized)
+    assert static_errors(optimized) == []
     assert removed == 0
     for n in (0, 5):
         assert interpret(optimized, [n]).return_value == interpret(fn, [n]).return_value
@@ -271,6 +271,6 @@ entry:
 """
     )
     optimized, removed = remove_redundant_reloads(fn)
-    verify_function(optimized)
+    assert static_errors(optimized) == []
     assert removed == 1
     assert count_loads(optimized) == 0

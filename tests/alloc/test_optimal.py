@@ -9,7 +9,7 @@ from repro.alloc.optimal import OptimalAllocator, solve_optimal_allocation
 from repro.alloc.optimal_bb import BranchAndBoundAllocator, solve_branch_and_bound
 from repro.alloc.optimal_ilp import scipy_available, solve_ilp
 from repro.alloc.problem import AllocationProblem
-from repro.alloc.verify import check_allocation
+from repro.check import allocation_diagnostics
 from repro.errors import AllocationError
 from repro.graphs.cliques import maximal_cliques
 from repro.graphs.generators import complete_graph, cycle_graph, random_chordal_graph
@@ -66,7 +66,7 @@ def test_bb_allocator_class(figure4_graph):
     problem = make_problem(figure4_graph, 2)
     result = BranchAndBoundAllocator().allocate(problem)
     assert result.stats["backend"] == "branch-and-bound"
-    assert check_allocation(problem, result).feasible
+    assert allocation_diagnostics(problem, result) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -103,7 +103,7 @@ def test_optimal_allocator_feasible_and_minimal(figure4_graph):
     for registers in (1, 2, 3, 4):
         problem = make_problem(figure4_graph, registers)
         result = OptimalAllocator().allocate(problem)
-        assert check_allocation(problem, result).feasible
+        assert allocation_diagnostics(problem, result) == []
         assert result.spill_cost == pytest.approx(brute_force_optimal_cost(figure4_graph, registers))
 
 

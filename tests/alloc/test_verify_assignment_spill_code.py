@@ -6,14 +6,25 @@ from repro.alloc.assignment import assign_registers
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
 from repro.alloc.spill_code import insert_spill_code
-from repro.alloc.verify import check_allocation, is_allocation_feasible
 from repro.analysis.interference import build_interference_graph
 from repro.analysis.liveness import max_live
 from repro.analysis.ssa_construction import construct_ssa
+from repro.check import allocation_report_and_diagnostics, static_errors
+from repro.check.allocation import is_allocation_feasible
 from repro.errors import AllocationError, InvalidAllocationError
 from repro.graphs.generators import complete_graph, cycle_graph, path_graph
-from repro.ir.validate import verify_function
-from repro.workloads.extraction import extract_chordal_problem
+from repro.pipeline import Pipeline, PipelineContext, get_pass
+
+
+def _extract(function):
+    """The packaged st231 allocation problem of ``function``."""
+    return Pipeline.from_spec("liveness,interference,extract", target="st231").run(function).problem
+
+
+def _verify(problem, result, assignment=None, target=None):
+    """Run the pipeline's ``verify`` stage on a hand-built context."""
+    context = PipelineContext(problem=problem, result=result, assignment=assignment, target=target)
+    return get_pass("verify").run(context, spec=None)
 
 
 # ---------------------------------------------------------------------- #
@@ -49,8 +60,8 @@ def test_feasibility_non_chordal_clique_bound():
 def test_check_allocation_detects_bad_partition(figure4_graph):
     problem = AllocationProblem(graph=figure4_graph, num_registers=2)
     bogus = AllocationResult.from_sets("X", 2, ["a"], ["b"], spill_cost=1.0)
-    with pytest.raises(InvalidAllocationError):
-        check_allocation(problem, bogus)
+    with pytest.raises(InvalidAllocationError, match="does not cover"):
+        _verify(problem, bogus)
 
 
 def test_check_allocation_detects_wrong_cost(figure4_graph):
@@ -58,8 +69,8 @@ def test_check_allocation_detects_wrong_cost(figure4_graph):
     allocated = ["b", "f"]
     spilled = [v for v in figure4_graph.vertices() if v not in allocated]
     wrong = AllocationResult.from_sets("X", 2, allocated, spilled, spill_cost=0.0)
-    with pytest.raises(InvalidAllocationError):
-        check_allocation(problem, wrong)
+    with pytest.raises(InvalidAllocationError, match="spill cost mismatch"):
+        _verify(problem, wrong)
 
 
 def test_check_allocation_detects_infeasible_allocation(figure4_graph):
@@ -69,10 +80,11 @@ def test_check_allocation_detects_infeasible_allocation(figure4_graph):
     bogus = AllocationResult.from_sets(
         "X", 1, allocated, spilled, spill_cost=figure4_graph.total_weight(spilled)
     )
-    with pytest.raises(InvalidAllocationError):
-        check_allocation(problem, bogus, strict=True)
+    with pytest.raises(InvalidAllocationError, match="infeasible allocation"):
+        _verify(problem, bogus)
     # Non-strict mode only reports.
-    report = check_allocation(problem, bogus, strict=False)
+    report, diagnostics = allocation_report_and_diagnostics(problem, bogus, strict=False)
+    assert diagnostics == []
     assert not report.feasible
 
 
@@ -111,7 +123,7 @@ def test_assign_registers_non_chordal_allocation():
 
 
 def test_assign_registers_roundtrip_with_allocator(loop_function):
-    problem = extract_chordal_problem(loop_function, "st231").with_registers(3)
+    problem = _extract(loop_function).with_registers(3)
     from repro.alloc import get_allocator
 
     result = get_allocator("BFPL").allocate(problem)
@@ -125,14 +137,14 @@ def test_assign_registers_roundtrip_with_allocator(loop_function):
 def test_insert_spill_code_counts_loads_and_stores(loop_function):
     ssa = construct_ssa(loop_function)
     rewritten, stats = insert_spill_code(ssa, ["sum.1"])
-    verify_function(rewritten)
+    assert static_errors(rewritten) == []
     assert stats["stores"] >= 1
     assert stats["loads"] >= 1
 
 
 def test_insert_spill_code_reduces_pressure(loop_function):
     ssa = construct_ssa(loop_function)
-    problem = extract_chordal_problem(loop_function, "st231").with_registers(3)
+    problem = _extract(loop_function).with_registers(3)
     from repro.alloc import get_allocator
 
     result = get_allocator("BFPL").allocate(problem)
@@ -219,37 +231,31 @@ def _result_all_allocated(problem):
 
 
 def test_check_assignment_accepts_valid_assignment():
-    from repro.alloc.verify import check_assignment
     from repro.targets import get_target
 
     problem = _tiny_problem()
     result = _result_all_allocated(problem)
     # st231 reserves r0, so the R=2 budget covers allocatable r1/r2.
     assignment = {"a": "r1", "b": "r2", "c": "r1"}
-    check_assignment(problem, result, assignment, target=get_target("st231"))
+    context = _verify(problem, result, assignment, target=get_target("st231"))
+    assert context.stage_stats["verify"]["assignment_checked"] is True
 
 
 def test_check_assignment_rejects_interfering_shared_register():
-    from repro.alloc.verify import check_assignment
-
     problem = _tiny_problem()
     result = _result_all_allocated(problem)
     with pytest.raises(InvalidAllocationError, match="share register"):
-        check_assignment(problem, result, {"a": "r0", "b": "r0", "c": "r1"})
+        _verify(problem, result, {"a": "r0", "b": "r0", "c": "r1"})
 
 
 def test_check_assignment_rejects_missing_variable():
-    from repro.alloc.verify import check_assignment
-
     problem = _tiny_problem()
     result = _result_all_allocated(problem)
     with pytest.raises(InvalidAllocationError, match="missing from the register assignment"):
-        check_assignment(problem, result, {"a": "r0", "b": "r1"})
+        _verify(problem, result, {"a": "r0", "b": "r1"})
 
 
 def test_check_assignment_rejects_assigned_spilled_variable():
-    from repro.alloc.verify import check_assignment
-
     problem = _tiny_problem()
     vertices = list(problem.graph.vertices())
     result = AllocationResult.from_sets(
@@ -261,25 +267,23 @@ def test_check_assignment_rejects_assigned_spilled_variable():
     )
     assignment = {v: f"r{i}" for i, v in enumerate(vertices)}
     with pytest.raises(InvalidAllocationError, match="spilled variables must not"):
-        check_assignment(problem, result, assignment)
+        _verify(problem, result, assignment)
 
 
 def test_check_assignment_rejects_register_outside_target_file():
-    from repro.alloc.verify import check_assignment
     from repro.targets import get_target
 
     problem = _tiny_problem()
     result = _result_all_allocated(problem)
     # jikesrvm-ia32 has 6 registers; r9 does not exist in its file.
     with pytest.raises(InvalidAllocationError, match="outside target"):
-        check_assignment(
+        _verify(
             problem, result, {"a": "r0", "b": "r9", "c": "r0"},
             target=get_target("jikesrvm-ia32"),
         )
 
 
 def test_check_assignment_respects_register_count_budget():
-    from repro.alloc.verify import check_assignment
     from repro.targets import get_target
 
     problem = _tiny_problem()  # R = 2
@@ -287,7 +291,7 @@ def test_check_assignment_respects_register_count_budget():
     # r3 is a valid st231 name but outside the problem's R=2 budget (the
     # sweep restricted the allocatable file — r0 is reserved — to r1/r2).
     with pytest.raises(InvalidAllocationError, match="outside target"):
-        check_assignment(
+        _verify(
             problem, result, {"a": "r3", "b": "r1", "c": "r3"},
             target=get_target("st231"),
         )

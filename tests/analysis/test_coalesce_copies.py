@@ -6,7 +6,7 @@ from repro.ir.instructions import Opcode
 from repro.ir.interpreter import interpret
 from repro.ir.parser import parse_function
 from repro.ir.printer import print_function
-from repro.ir.validate import verify_function
+from repro.check import static_errors
 
 
 COPY_CHAIN = """
@@ -24,7 +24,7 @@ entry:
 def test_copy_chain_collapses_to_webs():
     fn = parse_function(COPY_CHAIN)
     coalesced = coalesce_copies(fn)
-    verify_function(coalesced)
+    assert static_errors(coalesced) == []
     names = {reg.name for reg in coalesced.virtual_registers()}
     webs = {name for name in names if name.endswith(".cw")}
     assert webs, "copy-related registers must be merged into .cw webs"
@@ -58,7 +58,7 @@ entry:
 """
     )
     coalesced = coalesce_copies(fn)
-    verify_function(coalesced)
+    assert static_errors(coalesced) == []
     assert interpret(coalesced, [3]).return_value == 10
 
 
@@ -66,7 +66,7 @@ def test_full_non_ssa_pipeline_preserves_semantics(loop_function):
     ssa = construct_ssa(loop_function)
     lowered = destruct_ssa(ssa, coalesce_phi_webs=True)
     coalesced = coalesce_copies(lowered)
-    verify_function(coalesced)
+    assert static_errors(coalesced) == []
     for n in (0, 3, 6):
         assert interpret(coalesced, [n]).return_value == interpret(loop_function, [n]).return_value
 
@@ -100,7 +100,7 @@ entry:
 """
     )
     coalesced = coalesce_copies(fn)
-    verify_function(coalesced)
+    assert static_errors(coalesced) == []
     for value in (0, 3, 10):
         assert interpret(coalesced, [value]).return_value == interpret(fn, [value]).return_value
 
@@ -129,7 +129,7 @@ exit:
 """
     )
     lowered = coalesce_copies(destruct_ssa(construct_ssa(fn)))
-    verify_function(lowered)
+    assert static_errors(lowered) == []
     for value in (0, 4, 11):
         assert interpret(lowered, [value]).return_value == interpret(fn, [value]).return_value
 
@@ -151,6 +151,6 @@ entry:
 """
     )
     coalesced = coalesce_copies(fn)
-    verify_function(coalesced)
+    assert static_errors(coalesced) == []
     for value in (0, 2, 9):
         assert interpret(coalesced, [value]).return_value == interpret(fn, [value]).return_value

@@ -9,7 +9,7 @@ from repro.analysis.ssa_destruction import destruct_ssa, split_critical_edges
 from repro.errors import IRError
 from repro.ir.parser import parse_function
 from repro.ir.printer import print_function
-from repro.ir.validate import verify_function
+from repro.check import static_errors
 from repro.workloads.programs import GeneratorProfile, generate_function
 
 
@@ -18,7 +18,7 @@ from repro.workloads.programs import GeneratorProfile, generate_function
 # ---------------------------------------------------------------------- #
 def test_construct_ssa_diamond_places_one_phi(diamond_function):
     ssa = construct_ssa(diamond_function)
-    verify_function(ssa, require_ssa=True)
+    assert static_errors(ssa, ssa=True) == []
     phis = ssa.phi_nodes()
     assert len(phis) == 1
     assert phis[0].target.name.startswith("x.")
@@ -27,7 +27,7 @@ def test_construct_ssa_diamond_places_one_phi(diamond_function):
 
 def test_construct_ssa_loop_places_phis_at_header(loop_function):
     ssa = construct_ssa(loop_function)
-    verify_function(ssa, require_ssa=True)
+    assert static_errors(ssa, ssa=True) == []
     header_phis = ssa.block("header").phis
     phi_bases = {phi.target.name.split(".")[0] for phi in header_phis}
     assert {"i", "sum", "prod"} <= phi_bases
@@ -52,7 +52,7 @@ entry:
     )
     ssa = construct_ssa(fn)
     assert ssa.phi_nodes() == []
-    verify_function(ssa, require_ssa=True)
+    assert static_errors(ssa, ssa=True) == []
 
 
 def test_construct_ssa_renames_reused_names():
@@ -68,7 +68,7 @@ entry:
 """
     )
     ssa = construct_ssa(fn)
-    verify_function(ssa, require_ssa=True)
+    assert static_errors(ssa, ssa=True) == []
     names = {reg.name for reg in ssa.virtual_registers()}
     assert {"x.0", "x.1", "x.2"} <= names
 
@@ -105,7 +105,7 @@ join:
 """
     )
     ssa = construct_ssa(fn)
-    verify_function(ssa, require_ssa=True)
+    assert static_errors(ssa, ssa=True) == []
 
 
 @settings(max_examples=15, deadline=None)
@@ -114,7 +114,7 @@ def test_construct_ssa_on_random_programs_is_valid_ssa(seed):
     profile = GeneratorProfile(statements=25, accumulators=4, loop_depth=2)
     fn = generate_function("random", profile, rng=seed)
     ssa = construct_ssa(fn)
-    verify_function(ssa, require_ssa=True)
+    assert static_errors(ssa, ssa=True) == []
 
 
 # ---------------------------------------------------------------------- #
@@ -140,7 +140,7 @@ out:
     )
     # entry->merge is critical: entry has 2 successors, merge has 2 predecessors.
     split = split_critical_edges(fn)
-    verify_function(split)
+    assert static_errors(split) == []
     assert len(split) > len(fn)
     cfg = ControlFlowGraph(split)
     for src, dst in cfg.edges():
@@ -151,7 +151,7 @@ out:
 def test_destruct_ssa_with_copies_removes_phis(diamond_function):
     ssa = construct_ssa(diamond_function)
     lowered = destruct_ssa(ssa, coalesce_phi_webs=False)
-    verify_function(lowered)
+    assert static_errors(lowered) == []
     assert lowered.phi_nodes() == []
     # Copies implementing the phi appear in the predecessors of the join.
     copy_count = sum(
@@ -166,7 +166,7 @@ def test_destruct_ssa_with_copies_removes_phis(diamond_function):
 def test_destruct_ssa_with_coalescing_merges_webs(diamond_function):
     ssa = construct_ssa(diamond_function)
     lowered = destruct_ssa(ssa, coalesce_phi_webs=True)
-    verify_function(lowered)
+    assert static_errors(lowered) == []
     assert lowered.phi_nodes() == []
     names = {reg.name for reg in lowered.virtual_registers()}
     web_names = {name for name in names if name.endswith(".web")}
@@ -177,7 +177,7 @@ def test_destruct_then_construct_roundtrip_is_valid(loop_function):
     ssa = construct_ssa(loop_function)
     lowered = destruct_ssa(ssa, coalesce_phi_webs=True)
     again = construct_ssa(lowered)
-    verify_function(again, require_ssa=True)
+    assert static_errors(again, ssa=True) == []
 
 
 def test_destruct_ssa_does_not_mutate_input(loop_function):

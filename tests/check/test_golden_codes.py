@@ -22,6 +22,7 @@ from repro.check import (
 )
 from repro.graphs.graph import Graph
 from repro.ir.function import Function
+from repro.ir.instructions import make_branch
 from repro.ir.parser import parse_function
 from repro.ir.values import Constant, VirtualRegister
 from repro.targets import get_target
@@ -68,7 +69,10 @@ def test_cfg003_mid_block_terminator():
 
 
 def test_cfg004_unknown_branch_target():
-    fn = parse_function("func @f() {\nentry:\n  br nowhere\n}")
+    # Built by hand: the parser itself rejects an unknown label, but IR
+    # constructed or edited in memory still reaches the checker.
+    fn = Function("f")
+    fn.add_block("entry").append(make_branch("nowhere"))
     diag = one(cfg_diagnostics(fn), "CFG004")
     assert diag.message == "block 'entry' branches to unknown block 'nowhere'"
     assert diag.location.operand == "nowhere"

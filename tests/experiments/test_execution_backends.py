@@ -187,3 +187,34 @@ def test_service_sweep_dedupes_against_a_warm_fleet(tmp_path):
         assert _key(first) == _key(second)
     finally:
         svc.shutdown()
+
+
+def test_service_linear_scan_cells_match_local_run_cells(tmp_path):
+    """LS/BLS read the problem's live intervals, which travel on the wire."""
+    from repro.experiments.runner import run_cells
+    from repro.workloads.corpus import build_corpus
+
+    problem = build_corpus("specjvm98", seed=3, scale=0.1).problems[0]
+    assert problem.intervals
+    cells = [(4, "LS"), (4, "BLS")]
+    local = run_cells(problem, cells, program="jvm", verify=False)
+
+    svc = AllocationService(tmp_path / "fleet.sqlite", workers=1, port=0).start()
+    try:
+        emitted = []
+        backend = ServiceBackend([svc.url], timeout=120.0)
+        backend.run_plan(
+            [(0, problem, "jvm", cells)],
+            _config(),
+            lambda index, pairs: emitted.extend(record for _, record in pairs),
+        )
+    finally:
+        svc.shutdown()
+
+    def payload(record):
+        fields = dataclasses.asdict(record)
+        fields.pop("runtime_seconds")
+        return fields
+
+    assert [payload(r) for r in emitted] == [payload(r) for r in local]
+    assert any(r.num_spilled for r in local)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ir.instructions import Opcode
-from repro.ir.validate import verify_function
+from repro.check import static_errors
 from repro.oracle.generator import generate_program
 from repro.oracle.minimizer import minimization_summary, minimize
 
@@ -20,7 +20,7 @@ def test_minimizer_result_still_fails_and_is_valid():
     assert contains_mul(function)
     minimized = minimize(function, contains_mul)
     assert contains_mul(minimized)
-    verify_function(minimized, require_ssa=False)
+    assert static_errors(minimized) == []
     assert minimized.num_instructions() < function.num_instructions()
 
 
@@ -83,4 +83,4 @@ def test_minimizer_intermediate_candidates_all_verified():
     assert contains_mul(function)
     minimize(function, predicate)
     for candidate in seen:
-        verify_function(candidate, require_ssa=False)
+        assert static_errors(candidate) == []

@@ -45,9 +45,8 @@ def test_contexts_are_immutable():
 
 
 def test_run_problem_skips_front_end_and_rewriting_stages():
-    from repro.workloads.extraction import extract_chordal_problem
-
-    problem = extract_chordal_problem(_functions(1)[0], "st231").with_registers(4)
+    front_end = Pipeline.from_spec("liveness,interference,extract", target="st231")
+    problem = front_end.run(_functions(1)[0]).problem.with_registers(4)
     ctx = Pipeline.from_spec("NL", registers=4).run_problem(problem)
     assert ctx.result is not None and ctx.report is not None
     assert ctx.rewritten is None

@@ -14,7 +14,7 @@ import pytest
 
 from repro.alloc import get_allocator, insert_optimized_spill_code, insert_spill_code
 from repro.alloc.problem import AllocationProblem
-from repro.alloc.verify import check_allocation
+from repro.check import allocation_diagnostics
 from repro.analysis.interference import build_interference_graph
 from repro.analysis.live_ranges import live_intervals
 from repro.analysis.liveness import liveness
@@ -50,7 +50,7 @@ def _legacy_glue(function, target_name, ssa, allocator_name, registers, opt=True
         graph=graph, num_registers=registers, intervals=intervals, name=function.name
     )
     result = get_allocator(allocator_name).allocate(problem)
-    check_allocation(problem, result, strict=True)
+    assert allocation_diagnostics(problem, result) == []
     spilled = sorted(str(v) for v in result.spilled)
     if opt:
         rewritten, _stats = insert_optimized_spill_code(lowered, spilled)

@@ -154,3 +154,46 @@ def test_failed_job_reports_error_and_allows_resubmit(tmp_path):
         with pytest.raises(ServiceError):
             client.job("no-such-job")
         assert client.jobs() == []
+
+
+def test_non_numeric_content_length_is_a_400_json_error(tmp_path):
+    import http.client
+
+    with AllocationService(tmp_path / "c.sqlite", tmp_path / "q.sqlite", workers=0) as service:
+        connection = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+        try:
+            connection.putrequest("POST", "/v1/jobs")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", "ten")
+            connection.endheaders()
+            connection.send(b"{}")
+            response = connection.getresponse()
+            assert response.status == 400
+            body = json.loads(response.read())
+            assert "Content-Length" in body["error"]
+        finally:
+            connection.close()
+        # The server keeps serving after the bad request.
+        assert ServiceClient(service.url).health()["status"] == "ok"
+
+
+def test_deterministic_bug_fails_on_first_attempt(tmp_path, monkeypatch):
+    from repro.service import workers
+
+    def broken(payload, store):
+        raise AttributeError("'str' object has no attribute 'name'")
+
+    monkeypatch.setattr(workers, "execute_job", broken)
+    submission = {
+        "ir": "func @f(%a) {\nentry:\n  %x = add %a, 1\n  ret %x\n}\n",
+        "name": "f",
+        "allocator": ALLOCATOR,
+        "registers": REGISTERS,
+        "target": TARGET,
+    }
+    with AllocationService(tmp_path / "c.sqlite", tmp_path / "q.sqlite", workers=1) as service:
+        job_id = ServiceClient(service.url).submit(submission)["job"]["id"]
+        job = _wait_all_done(service, [job_id])[job_id]
+    assert job.state == "failed"
+    assert job.attempts == 1
+    assert job.error.startswith("AttributeError: 'str' object has no attribute 'name'")

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +114,19 @@ def test_cli_allocate_invalid_ir_is_clean_error(tmp_path, capsys):
     path.write_text("this is not IR at all {{{")
     assert main(["allocate", "--input", str(path)]) == 1
     assert "invalid input file" in capsys.readouterr().err
+
+
+def test_cli_allocate_unknown_branch_label_is_one_line_error(tmp_path, capsys):
+    diamond = (Path(__file__).parent.parent / "examples" / "ir" / "diamond.ir").read_text()
+    assert "br join" in diamond
+    path = tmp_path / "bad.ir"
+    path.write_text(diamond.replace("br join", "br nowhere", 1))
+    assert main(["allocate", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert err.startswith("repro-alloc: error: invalid input file")
+    assert "unknown label 'nowhere'" in err
 
 
 def test_cli_allocate_warns_when_target_ignored_for_graph_json(tmp_path, capsys):

@@ -13,11 +13,13 @@ def test_public_api_names():
 
 
 def test_quickstart_from_module_docstring_works():
+    from repro import Pipeline
     from repro.alloc import get_allocator
-    from repro.workloads import extract_chordal_problem, generate_function
+    from repro.workloads import generate_function
 
     function = generate_function("demo", rng=42)
-    problem = extract_chordal_problem(function, "st231").with_registers(8)
+    front_end = Pipeline.from_spec("liveness,interference,extract", target="st231")
+    problem = front_end.run(function).problem.with_registers(8)
     result = get_allocator("BFPL").allocate(problem)
     assert result.spill_cost >= 0
     assert result.allocated | result.spilled == set(problem.graph.vertices())
@@ -44,3 +46,16 @@ def test_subpackages_importable():
 
     assert repro.analysis and repro.alloc and repro.experiments
     assert repro.graphs and repro.ir and repro.targets and repro.workloads
+
+
+def test_process_pool_lives_in_one_module():
+    """Every parallel path goes through ``repro.parallel``."""
+    from pathlib import Path
+
+    package = Path(repro.__file__).parent
+    users = sorted(
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if "ProcessPoolExecutor" in path.read_text(encoding="utf-8")
+    )
+    assert users == ["parallel.py"]

@@ -1,14 +1,20 @@
-"""Tests for the extraction pipeline and corpus construction."""
+"""Tests for problem extraction (the pipeline front end) and corpus construction."""
 
 import pytest
 
 from repro.alloc import get_allocator
-from repro.alloc.verify import check_allocation
+from repro.check import allocation_diagnostics
 from repro.graphs.chordal import is_chordal
+from repro.pipeline import Pipeline
 from repro.targets import get_target
 from repro.workloads.corpus import build_corpus
-from repro.workloads.extraction import extract_chordal_problem, extract_general_problem
 from repro.workloads.programs import GeneratorProfile, generate_function
+
+
+def _extract(function, target, ssa=True, name=None):
+    """Run the front-end stages and return the packaged allocation problem."""
+    pipeline = Pipeline.from_spec("liveness,interference,extract", target=target, ssa=ssa)
+    return pipeline.run(function, name=name).problem
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +23,7 @@ def sample_function():
 
 
 def test_chordal_extraction_produces_chordal_graph(sample_function):
-    problem = extract_chordal_problem(sample_function, "st231")
+    problem = _extract(sample_function, "st231")
     assert problem.is_chordal
     assert is_chordal(problem.graph)
     assert problem.num_registers == get_target("st231").num_registers
@@ -26,32 +32,32 @@ def test_chordal_extraction_produces_chordal_graph(sample_function):
 
 
 def test_chordal_extraction_weights_are_positive(sample_function):
-    problem = extract_chordal_problem(sample_function, "st231")
+    problem = _extract(sample_function, "st231")
     assert all(problem.graph.weight(v) >= 0 for v in problem.graph.vertices())
     assert problem.total_weight > 0
 
 
 def test_general_extraction_uses_coalesced_names(sample_function):
-    problem = extract_general_problem(sample_function, "jikesrvm-ia32")
+    problem = _extract(sample_function, "jikesrvm-ia32", ssa=False)
     assert any(str(v).endswith(".web") for v in problem.graph.vertices())
 
 
 def test_extraction_accepts_target_objects(sample_function):
     target = get_target("armv7-a8")
-    problem = extract_chordal_problem(sample_function, target, name="custom")
+    problem = _extract(sample_function, target, name="custom")
     assert problem.name == "custom"
     assert problem.num_registers == 16
 
 
 def test_extracted_problem_is_allocatable(sample_function):
-    problem = extract_chordal_problem(sample_function, "st231").with_registers(4)
+    problem = _extract(sample_function, "st231").with_registers(4)
     result = get_allocator("BFPL").allocate(problem)
-    assert check_allocation(problem, result).feasible
+    assert allocation_diagnostics(problem, result) == []
 
 
 def test_general_extraction_load_store_costs_scale(sample_function):
     cheap_target = get_target("st231")
-    problem = extract_chordal_problem(sample_function, cheap_target)
+    problem = _extract(sample_function, cheap_target)
     assert problem.total_weight > 0
 
 

@@ -9,7 +9,7 @@ from repro.analysis.liveness import max_live
 from repro.analysis.loops import natural_loops
 from repro.analysis.ssa_construction import construct_ssa
 from repro.ir.printer import print_function
-from repro.ir.validate import verify_function
+from repro.check import static_errors
 from repro.workloads.programs import GeneratorProfile, generate_function, generate_module
 from repro.workloads.suites import SPECJVM98, SUITES, SuiteSpec, get_suite
 
@@ -19,7 +19,7 @@ from repro.workloads.suites import SPECJVM98, SUITES, SuiteSpec, get_suite
 # ---------------------------------------------------------------------- #
 def test_generated_function_is_valid_ir():
     fn = generate_function("demo", rng=7)
-    verify_function(fn)
+    assert static_errors(fn) == []
     assert fn.num_instructions() > 10
     assert len(fn) >= 1
 
@@ -69,7 +69,7 @@ def test_generate_module_contains_requested_functions():
 
 def test_generate_function_accepts_random_instance():
     fn = generate_function("demo", rng=random.Random(3))
-    verify_function(fn)
+    assert static_errors(fn) == []
 
 
 @settings(max_examples=10, deadline=None)
@@ -77,9 +77,9 @@ def test_generate_function_accepts_random_instance():
 def test_generated_functions_always_verify_and_convert_to_ssa(seed):
     profile = GeneratorProfile(statements=20, accumulators=4, loop_depth=2)
     fn = generate_function("prop", profile, rng=seed)
-    verify_function(fn)
+    assert static_errors(fn) == []
     ssa = construct_ssa(fn)
-    verify_function(ssa, require_ssa=True)
+    assert static_errors(ssa, ssa=True) == []
 
 
 # ---------------------------------------------------------------------- #
