@@ -545,6 +545,36 @@ def test_service_latency_warm_beats_nothing_but_asserts_cache(capsys):
     assert results["cold_seconds"] > 0 and results["warm_seconds"] > 0
 
 
+# ---------------------------------------------------------------------- #
+# CLI start-up: what every repro-alloc process pays before doing anything
+# ---------------------------------------------------------------------- #
+def measure_cli_startup(runs=5):
+    """Median wall seconds of ``python -c "import repro.cli"`` over fresh interpreters.
+
+    Each run is a new process (inheriting this one's environment, so
+    ``PYTHONPATH=src`` reaches it), so nothing imported here is shared.
+    """
+    import statistics
+    import subprocess
+    import sys
+    import time
+
+    seconds = []
+    for _ in range(runs):
+        started = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import repro.cli"], check=True)
+        seconds.append(time.perf_counter() - started)
+    return {"runs": runs, "import_seconds": round(statistics.median(seconds), 6)}
+
+
+def test_cli_startup_measured(capsys):
+    """Smoke the start-up rung: fresh interpreters import the CLI cleanly."""
+    results = measure_cli_startup(runs=2)
+    with capsys.disabled():
+        print(f"\ncli startup: import repro.cli {results['import_seconds'] * 1e3:.0f} ms (median of 2)")
+    assert results["import_seconds"] > 0
+
+
 def main(argv=None):
     """The ``--stages`` CLI used by the CI perf-smoke job."""
     import argparse
@@ -580,9 +610,10 @@ def main(argv=None):
         default=None,
         metavar="PATH",
         help=(
-            "additionally write the stage timings (checker off) and the "
-            "measured check='each' overhead to PATH (a flat payload; see "
-            "--append-history for the committed trajectory format)"
+            "additionally write the stage timings (checker off), the "
+            "measured check='each' overhead and the CLI start-up time to PATH "
+            "(a flat payload; see --append-history for the committed "
+            "trajectory format)"
         ),
     )
     parser.add_argument(
@@ -674,6 +705,11 @@ def main(argv=None):
                 "noop_overhead_fraction": round(telemetry["noop_overhead_fraction"], 6),
             },
         }
+        startup = payload["cli_startup"] = measure_cli_startup()
+        print(
+            f"cli startup: import repro.cli {startup['import_seconds'] * 1e3:.0f} ms "
+            f"(median of {startup['runs']} fresh interpreters)"
+        )
         if service_latency is not None:
             payload["service_latency"] = service_latency
         if args.json:

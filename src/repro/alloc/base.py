@@ -41,6 +41,14 @@ class Allocator(abc.ABC):
     def allocate(self, problem: AllocationProblem) -> AllocationResult:
         """Solve ``problem`` and return which variables are kept in registers."""
 
+    def preload(self) -> None:
+        """Load what :meth:`allocate` imports lazily; a no-op by default.
+
+        Pooled runs call this once in the parent before forking, so every
+        worker inherits a heavy dependency (the MILP backend of ``Optimal``)
+        instead of importing its own copy.
+        """
+
     # ------------------------------------------------------------------ #
     # shared helpers
     # ------------------------------------------------------------------ #

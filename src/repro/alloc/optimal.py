@@ -12,7 +12,7 @@ from typing import Set, Tuple
 
 from repro.alloc.base import Allocator, register_allocator
 from repro.alloc.optimal_bb import solve_branch_and_bound
-from repro.alloc.optimal_ilp import scipy_available, solve_ilp
+from repro.alloc.optimal_ilp import load_milp_backend, scipy_available, solve_ilp
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
 from repro.graphs.graph import Graph, Vertex
@@ -41,6 +41,11 @@ class OptimalAllocator(Allocator):
 
     def __init__(self, prefer_ilp: bool = True) -> None:
         self.prefer_ilp = prefer_ilp
+
+    def preload(self) -> None:
+        """Import the MILP backend now when it will be used (see :class:`Allocator`)."""
+        if self.prefer_ilp:
+            load_milp_backend()
 
     def allocate(self, problem: AllocationProblem) -> AllocationResult:
         """Solve the instance exactly with the preferred backend."""

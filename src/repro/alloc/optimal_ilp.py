@@ -13,14 +13,23 @@ condition, so this is the true optimum; on general graphs it is the standard
 clique relaxation (a lower bound on the spill cost), which is how the
 normalization in Figures 14–15 is defined.
 
-The backend is ``scipy.optimize.milp`` (HiGHS).  When scipy is missing the
-caller should use :mod:`repro.alloc.optimal_bb` instead — see
+The backend is ``scipy.optimize.milp`` (HiGHS).  numpy and scipy are
+imported on the first solve (:func:`load_milp_backend`), not with this
+module, so a process that never solves a MILP — a warm ``reproduce``, the
+CLI's ``list`` — never pays for them.  A pooled run (a sweep,
+``Pipeline.run_many``, an oracle campaign) whose work includes MILP cells
+loads them once in the parent before the pool forks
+(:meth:`~repro.alloc.base.Allocator.preload`), so the workers inherit them
+instead of each importing its own copy.  When scipy is missing the caller
+should use :mod:`repro.alloc.optimal_bb` instead — see
 :mod:`repro.alloc.optimal` for the dispatching allocator.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Set, Tuple
+import functools
+from types import ModuleType
+from typing import Optional, Sequence, Set, Tuple
 
 from repro.alloc.base import Allocator, register_allocator
 from repro.alloc.problem import AllocationProblem
@@ -29,18 +38,21 @@ from repro.errors import AllocationError, SolverUnavailableError
 from repro.graphs.cliques import Clique
 from repro.graphs.graph import Graph, Vertex
 
-try:  # pragma: no cover - import guard exercised only without scipy
-    import numpy as _np
-    from scipy.optimize import Bounds, LinearConstraint, milp
 
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover
-    _HAVE_SCIPY = False
+@functools.cache
+def load_milp_backend() -> Optional[Tuple[ModuleType, ModuleType]]:
+    """Import ``(numpy, scipy.optimize)`` once; ``None`` when scipy is missing."""
+    try:
+        import numpy
+        import scipy.optimize
+    except ImportError:
+        return None
+    return numpy, scipy.optimize
 
 
 def scipy_available() -> bool:
-    """Whether the scipy MILP backend can be used."""
-    return _HAVE_SCIPY
+    """Whether the scipy MILP backend can be used (loads it on first call)."""
+    return load_milp_backend() is not None
 
 
 def solve_ilp(
@@ -49,8 +61,10 @@ def solve_ilp(
     cliques: Sequence[Clique] | None = None,
 ) -> Tuple[Set[Vertex], float]:
     """Return ``(allocated, allocated_weight)`` from the MILP optimum."""
-    if not _HAVE_SCIPY:
+    backend = load_milp_backend()
+    if backend is None:
         raise SolverUnavailableError("scipy is required for the ILP optimal allocator")
+    np, optimize = backend
     vertices = graph.vertices()
     if not vertices:
         return set(), 0.0
@@ -62,7 +76,7 @@ def solve_ilp(
         cliques = maximal_cliques(graph)
 
     index = {v: i for i, v in enumerate(vertices)}
-    weights = _np.array([graph.weight(v) for v in vertices], dtype=float)
+    weights = np.array([graph.weight(v) for v in vertices], dtype=float)
 
     # milp minimizes; we maximize allocated weight.
     objective = -weights
@@ -70,19 +84,19 @@ def solve_ilp(
     constraints = []
     binding = [c for c in cliques if len(c) > num_registers]
     if binding:
-        matrix = _np.zeros((len(binding), len(vertices)))
+        matrix = np.zeros((len(binding), len(vertices)))
         for row, clique in enumerate(binding):
             for vertex in clique:
                 matrix[row, index[vertex]] = 1.0
         constraints.append(
-            LinearConstraint(matrix, lb=-_np.inf, ub=float(num_registers))
+            optimize.LinearConstraint(matrix, lb=-np.inf, ub=float(num_registers))
         )
 
-    result = milp(
+    result = optimize.milp(
         c=objective,
         constraints=constraints,
-        integrality=_np.ones(len(vertices)),
-        bounds=Bounds(lb=0.0, ub=1.0),
+        integrality=np.ones(len(vertices)),
+        bounds=optimize.Bounds(lb=0.0, ub=1.0),
     )
     if not result.success:
         raise AllocationError(f"MILP solver failed: {result.message}")
@@ -95,6 +109,10 @@ class IlpOptimalAllocator(Allocator):
 
     name = "Optimal-ILP"
     version = "1"
+
+    def preload(self) -> None:
+        """Import the MILP backend now, so forked pool workers inherit it."""
+        load_milp_backend()
 
     def allocate(self, problem: AllocationProblem) -> AllocationResult:
         """Solve the clique-constrained ILP exactly."""

@@ -34,6 +34,7 @@ import dataclasses
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.alloc import get_allocator
 from repro.alloc.problem import AllocationProblem
 from repro.errors import ServiceError
 from repro.graphs.io import graph_to_dict
@@ -71,7 +72,10 @@ class LocalPoolBackend(ExecutionBackend):
     ``jobs=None`` (the default) follows ``config.jobs``; an explicit value
     overrides it.  A serial run emits cell by cell, so an interrupted sweep
     keeps every finished cell; a pooled run (:func:`repro.parallel.run_tasks`)
-    schedules instances dynamically and emits each as it completes.
+    schedules instances dynamically and emits each as it completes.  Before
+    the pool forks, this process calls
+    :meth:`~repro.alloc.base.Allocator.preload` once per allocator the plan
+    runs, so the workers inherit its lazily imported dependencies.
     """
 
     name = "local"
@@ -105,6 +109,8 @@ class LocalPoolBackend(ExecutionBackend):
                 )
             return
 
+        for name in sorted({name for *_, missing in plan for _, name in missing}):
+            get_allocator(name).preload()
         worker = partial(runner._run_cells_worker, verify=config.verify)
         tasks = [(problem, missing, program) for _, problem, program, missing in plan]
         for position, records in run_tasks(worker, tasks, jobs):

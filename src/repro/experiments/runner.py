@@ -176,18 +176,6 @@ def run_cells(
     return records
 
 
-def run_instance(
-    problem: AllocationProblem,
-    allocator_names: Sequence[str],
-    register_counts: Sequence[int],
-    program: str = "",
-    verify: bool = True,
-) -> List[InstanceRecord]:
-    """Run every allocator at every register count on one problem."""
-    cells = [(r, name) for r in register_counts for name in allocator_names]
-    return run_cells(problem, cells, program=program, verify=verify)
-
-
 def _run_cells_worker(
     task: Tuple[AllocationProblem, Sequence[Cell], str], verify: bool
 ) -> List[InstanceRecord]:

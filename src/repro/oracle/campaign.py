@@ -290,6 +290,11 @@ def run_campaign(
         jobs=config.jobs,
     ):
         shards = round_robin(indices, config.jobs)
+        if len(shards) > 1:
+            from repro.alloc.base import get_allocator
+
+            for registry_name in sorted(set(allocators.values())):
+                get_allocator(registry_name).preload()
         results = dict(run_tasks(partial(_run_shard, config, combos=combos), shards, config.jobs))
         for position in range(len(shards)):
             shard_checks, shard_ok, shard_skipped, shard_spilled, shard_failures = results[position]

@@ -251,6 +251,7 @@ class Pipeline:
             return contexts
 
         shards = round_robin(items, jobs)
+        _allocator_of(self.spec.allocator).preload()
 
         # SQLite stores are safe for one connection per worker; other setups
         # compute storeless in the workers and persist through the parent.
