@@ -721,9 +721,10 @@ def main(argv=None):
             from repro.telemetry.bench import append_history
 
             entry = append_history(args.append_history, payload)
+            dirty = " dirty" if entry.get("dirty") else ""
             print(
                 f"appended history entry to {args.append_history} "
-                f"(recorded_at={entry['recorded_at']} git_rev={entry['git_rev']})"
+                f"(recorded_at={entry['recorded_at']} git_rev={entry['git_rev']}{dirty})"
             )
     if speedup < args.min_speedup:
         print(

@@ -21,7 +21,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 from repro.alloc.constraints import ProblemConstraints
 from repro.errors import AllocationError
 from repro.graphs.chordal import is_chordal, maximum_cardinality_search
-from repro.graphs.coloring import chordal_coloring, greedy_coloring, is_valid_coloring
+from repro.graphs.coloring import (
+    greedy_coloring,
+    induced_chordal_coloring,
+    is_valid_coloring,
+)
 from repro.graphs.graph import Graph, Vertex
 
 
@@ -44,16 +48,13 @@ def assign_registers(
     ``num_registers`` registers — which, for results produced by the library's
     allocators, indicates a bug upstream.
     """
-    induced = graph.subgraph(allocated)
-    if len(induced) == 0:
-        return {}
-
-    if is_chordal(induced):
-        coloring = chordal_coloring(induced)
-    else:
+    coloring, induced = induced_chordal_coloring(graph, allocated)
+    if induced is not None:
         coloring = greedy_coloring(induced)
         if not is_valid_coloring(induced, coloring):
             raise AllocationError("internal error: greedy coloring produced an invalid coloring")
+    if not coloring:
+        return {}
 
     colors_used = max(coloring.values()) + 1
     if colors_used > num_registers:

@@ -39,9 +39,10 @@ from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
 from repro.check.diagnostics import Diagnostic, Location, Severity
 from repro.check.registry import Checker, CheckRequest
-from repro.graphs.chordal import is_chordal
+from repro.errors import GraphError
 from repro.graphs.cliques import maximal_cliques
-from repro.graphs.coloring import chromatic_number_chordal, greedy_coloring, is_valid_coloring
+from repro.graphs.coloring import greedy_coloring, induced_chordal_coloring, is_valid_coloring
+from repro.graphs.dense import DenseGraph
 from repro.graphs.graph import Graph, Vertex
 from repro.ir.function import Function
 from repro.ir.instructions import Opcode
@@ -60,14 +61,14 @@ class FeasibilityReport:
 
 def is_allocation_feasible(graph: Graph, allocated: Iterable[Vertex], num_registers: int) -> FeasibilityReport:
     """Check whether ``allocated`` fits in ``num_registers`` registers."""
-    induced = graph.subgraph(allocated)
-    if len(induced) == 0:
+    coloring, induced = induced_chordal_coloring(graph, allocated)
+    if induced is None and not coloring:
         return FeasibilityReport(True, True, "empty allocation")
     if num_registers <= 0:
         return FeasibilityReport(False, True, "no registers available")
 
-    if is_chordal(induced):
-        needed = chromatic_number_chordal(induced)
+    if coloring is not None:
+        needed = max(coloring.values()) + 1
         feasible = needed <= num_registers
         return FeasibilityReport(
             feasible,
@@ -75,6 +76,7 @@ def is_allocation_feasible(graph: Graph, allocated: Iterable[Vertex], num_regist
             f"chordal induced sub-graph needs {needed} colors for {num_registers} registers",
         )
 
+    assert induced is not None
     # Necessary condition: no clique larger than R.
     omega = max((len(c) for c in maximal_cliques(induced)), default=0)
     if omega > num_registers:
@@ -201,30 +203,36 @@ def assignment_diagnostics(
             )
         )
     graph = problem.graph
-    for vertex in allocated:
-        if vertex not in assignment:
-            continue
-        for neighbor in graph.neighbors(vertex):
-            if (
-                neighbor in allocated
-                and neighbor in assignment
-                and assignment[vertex] == assignment[neighbor]
-                and str(vertex) < str(neighbor)
-            ):
-                diagnostics.append(
-                    Diagnostic(
-                        code="ALLOC007",
-                        message=(
-                            f"interfering variables {vertex} and {neighbor} share "
-                            f"register {assignment[vertex]!r}"
-                        ),
-                        location=Location(
-                            function=function_name,
-                            operand=f"{vertex}, {neighbor}",
-                        ),
-                        hint="interfering variables need distinct registers",
-                    )
+    if _may_share_register(graph, allocated, assignment):
+        clashes: List[Tuple[str, str, Vertex, Vertex]] = []
+        for vertex in allocated:
+            if vertex not in assignment:
+                continue
+            for neighbor in graph.neighbors(vertex):
+                if (
+                    neighbor in allocated
+                    and neighbor in assignment
+                    and assignment[vertex] == assignment[neighbor]
+                    and str(vertex) < str(neighbor)
+                ):
+                    clashes.append((str(vertex), str(neighbor), vertex, neighbor))
+        # Sorted by name: set iteration order depends on the hash seed, and
+        # the verify stage raises the first message.
+        for _, _, vertex, neighbor in sorted(clashes, key=lambda clash: clash[:2]):
+            diagnostics.append(
+                Diagnostic(
+                    code="ALLOC007",
+                    message=(
+                        f"interfering variables {vertex} and {neighbor} share "
+                        f"register {assignment[vertex]!r}"
+                    ),
+                    location=Location(
+                        function=function_name,
+                        operand=f"{vertex}, {neighbor}",
+                    ),
+                    hint="interfering variables need distinct registers",
                 )
+            )
     used = {assignment[v] for v in allocated if v in assignment}
     if len(used) > problem.num_registers:
         diagnostics.append(
@@ -261,6 +269,37 @@ def assignment_diagnostics(
                 )
             )
     return diagnostics
+
+
+def _may_share_register(
+    graph: Graph, allocated: Set[Vertex], assignment: Dict[Vertex, str]
+) -> bool:
+    """Screen for ``ALLOC007``: may two interfering variables share a register?
+
+    On a live :class:`~repro.graphs.dense.DenseGraph` the answer is exact and
+    costs one AND per variable, its row against the mask of the variables
+    holding the same register, without building an adjacency set.  Any
+    other graph, or a variable the graph does not know, answers ``True`` and
+    leaves the verdict to the neighbour enumeration.
+    """
+    if not isinstance(graph, DenseGraph):
+        return True
+    rows = graph.dense_rows()
+    if rows is None:
+        return True
+    same_register: Dict[str, int] = {}
+    held: List[Tuple[int, str]] = []
+    for vertex in allocated:
+        register = assignment.get(vertex)
+        if register is None:
+            continue
+        try:
+            bit = graph.index_of(vertex)
+        except GraphError:
+            return True
+        same_register[register] = same_register.get(register, 0) | (1 << bit)
+        held.append((bit, register))
+    return any(rows[bit] & same_register[register] for bit, register in held)
 
 
 # ---------------------------------------------------------------------- #

@@ -9,10 +9,11 @@ assignment and (b) verify that the allocated sub-graph is R-colorable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError
-from repro.graphs.chordal import perfect_elimination_order
+from repro.graphs.chordal import is_chordal, perfect_elimination_order
+from repro.graphs.dense import dense_induced_coloring, dense_rows_of
 from repro.graphs.graph import Graph, Vertex
 
 Coloring = Dict[Vertex, int]
@@ -50,6 +51,31 @@ def chordal_coloring(graph: Graph, peo: Optional[Sequence[Vertex]] = None) -> Co
     if peo is None:
         peo = perfect_elimination_order(graph)
     return greedy_coloring(graph, list(reversed(peo)))
+
+
+def induced_chordal_coloring(
+    graph: Graph, keep: Iterable[Vertex]
+) -> Tuple[Optional[Coloring], Optional[Graph]]:
+    """Tree-scan coloring of the subgraph of ``graph`` induced by ``keep``.
+
+    Returns ``(chordal_coloring(induced), None)`` when the induced subgraph
+    is chordal and ``(None, induced)`` when it is not, handing the built
+    subgraph to the caller's general-graph fallback.  A live
+    :class:`~repro.graphs.dense.DenseGraph` colors ``keep`` in place with
+    :func:`~repro.graphs.dense.dense_induced_coloring` and builds the
+    subgraph only when it is not chordal; other graphs take the set-based
+    path (``subgraph`` + ``is_chordal`` + ``chordal_coloring``).
+    """
+    if dense_rows_of(graph) is not None:
+        mask = graph.mask_of(keep)
+        coloring = dense_induced_coloring(graph, mask)
+        if coloring is not None:
+            return coloring, None
+        return None, graph.subgraph(graph.vertices_in(mask))
+    induced = graph.subgraph(keep)
+    if is_chordal(induced):
+        return chordal_coloring(induced), None
+    return None, induced
 
 
 def chromatic_number_chordal(graph: Graph, peo: Optional[Sequence[Vertex]] = None) -> int:

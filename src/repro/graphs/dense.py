@@ -20,6 +20,12 @@ results, same orders, same tie-breaking — operating on int masks instead of
 hash sets.  The set-based implementations remain in-tree as the reference
 oracle; the property suite pins the equivalence.
 
+:func:`dense_induced_coloring` runs the same MCS and PEO kernels on a
+``keep`` mask: the tree-scan coloring of the subgraph induced by ``keep``
+(what ``chordal_coloring(graph.subgraph(keep))`` returns), or ``None`` when
+that subgraph is not chordal — the ``assign`` and ``verify`` stages color
+the allocated set in place with it.
+
 Mutation contract: structural mutations (``add_edge``, ``remove_vertex``,
 ...) first materialize the adjacency sets, then *degrade* the instance to
 plain set-backed behaviour (``dense_rows()`` returns ``None`` afterwards and
@@ -308,6 +314,72 @@ def dense_rows_of(graph: Graph) -> Optional[List[int]]:
 # ---------------------------------------------------------------------- #
 # dense kernels — exact replicas of the set-based reference algorithms
 # ---------------------------------------------------------------------- #
+def _mcs_bits(
+    rows: Sequence[int], keep: int, start_bit: Optional[int] = None
+) -> List[int]:
+    """MCS visit order, as bit indices, of the subgraph induced by ``keep``.
+
+    The one MCS kernel behind :func:`dense_mcs` (``keep`` = every bit) and
+    :func:`dense_induced_coloring`.  Ties break by bit index, which is the
+    induced subgraph's insertion order too, so the order equals the
+    reference search on ``graph.subgraph(keep)``.
+    """
+    n = len(rows)
+    # Priority (count desc, tie asc) packed into one int:
+    # key = (n - count) * (n + 1) + (tie + 1), tie == bit index == insertion
+    # order.  The reference's optional (count 0, tie -1) start seed packs
+    # collision-free as tie+1 == 0; a min-heap of these ints pops exactly
+    # what the reference's (-count, tie, vertex) tuple heap pops.
+    width = n + 1
+    members = bit_indices(keep)
+    heap: List[int] = [n * width + v + 1 for v in members]
+    if start_bit is not None:
+        heap.append(n * width)
+    heapq.heapify(heap)
+    counts = [0] * n
+    unvisited = keep
+    order_out: List[int] = []
+    while len(order_out) < len(members):
+        while True:
+            key = heapq.heappop(heap)
+            tie = key % width
+            v = start_bit if tie == 0 else tie - 1  # type: ignore[assignment]
+            count = n - key // width
+            if (unvisited >> v) & 1 and counts[v] == count:
+                break
+        unvisited ^= 1 << v
+        order_out.append(v)
+        for u in bit_indices(rows[v] & unvisited):
+            c = counts[u] + 1
+            counts[u] = c
+            heapq.heappush(heap, (n - c) * width + u + 1)
+    return order_out
+
+
+def _is_peo_bits(rows: Sequence[int], peo_bits: Sequence[int]) -> bool:
+    """Whether ``peo_bits`` (distinct bit indices) is a PEO of the subgraph
+    they induce.
+
+    Golumbic's earliest-later-neighbour criterion with mask arithmetic: the
+    "is every other later neighbour adjacent to the pivot" test becomes one
+    AND-NOT against the pivot's row.  Later-neighbour masks only hold bits of
+    ``peo_bits``, so the rows need no masking.
+    """
+    position = [0] * len(rows)
+    for p, v in enumerate(peo_bits):
+        position[v] = p
+    later = 0
+    for v in reversed(peo_bits):
+        m = rows[v] & later
+        later |= 1 << v
+        if not m or not m & (m - 1):
+            continue
+        pivot = min(bit_indices(m), key=position.__getitem__)
+        if (m ^ (1 << pivot)) & ~rows[pivot]:
+            return False
+    return True
+
+
 def dense_mcs(graph: DenseGraph, start: Optional[Vertex] = None) -> List[Vertex]:
     """Maximum cardinality search on bitmask rows.
 
@@ -323,48 +395,16 @@ def dense_mcs(graph: DenseGraph, start: Optional[Vertex] = None) -> List[Vertex]
         return []
     if start is not None and start not in graph:
         raise GraphError(f"unknown start vertex {start!r}")
-    # Priority (count desc, tie asc) packed into one int:
-    # key = (n - count) * (n + 1) + (tie + 1), tie == bit index == insertion
-    # order.  The reference's optional (count 0, tie -1) start seed packs
-    # collision-free as tie+1 == 0; a min-heap of these ints pops exactly
-    # what the reference's (-count, tie, vertex) tuple heap pops.
-    width = n + 1
-    heap: List[int] = []
-    start_bit: Optional[int] = None
-    if start is not None:
-        start_bit = graph.index_of(start)
-        heap.append(n * width)
-    for v in range(n):
-        heap.append(n * width + v + 1)
-    heapq.heapify(heap)
-    counts = [0] * n
-    unvisited = (1 << n) - 1
-    order_out: List[int] = []
-    while len(order_out) < n:
-        while True:
-            key = heapq.heappop(heap)
-            tie = key % width
-            v = start_bit if tie == 0 else tie - 1  # type: ignore[assignment]
-            count = n - key // width
-            if (unvisited >> v) & 1 and counts[v] == count:
-                break
-        unvisited ^= 1 << v
-        order_out.append(v)
-        for u in bit_indices(rows[v] & unvisited):
-            c = counts[u] + 1
-            counts[u] = c
-            heapq.heappush(heap, (n - c) * width + u + 1)
+    start_bit = None if start is None else graph.index_of(start)
     order = graph.vertex_order()
-    return [order[i] for i in order_out]
+    return [order[i] for i in _mcs_bits(rows, (1 << n) - 1, start_bit)]
 
 
 def dense_is_peo(graph: DenseGraph, order: Sequence[Vertex]) -> bool:
     """Perfect-elimination-order check on bitmask rows.
 
     Replicates :func:`repro.graphs.chordal.is_perfect_elimination_order`
-    (Golumbic's earliest-later-neighbour criterion) with mask arithmetic:
-    the "is every other later neighbour adjacent to the pivot" test becomes
-    one AND-NOT against the pivot's row.
+    (Golumbic's earliest-later-neighbour criterion).
     """
     rows = graph.dense_rows()
     assert rows is not None, "dense_is_peo requires a live DenseGraph"
@@ -379,22 +419,44 @@ def dense_is_peo(graph: DenseGraph, order: Sequence[Vertex]) -> bool:
         return False
     if len(set(peo_bits)) != n:
         return False
-    position = [0] * n
-    for p, v in enumerate(peo_bits):
-        position[v] = p
-    later_of = [0] * n
-    later = 0
-    for v in reversed(peo_bits):
-        later_of[v] = later
-        later |= 1 << v
-    for v in peo_bits:
-        m = rows[v] & later_of[v]
-        if not m:
-            continue
-        pivot = min(bit_indices(m), key=position.__getitem__)
-        if (m ^ (1 << pivot)) & ~rows[pivot]:
-            return False
-    return True
+    return _is_peo_bits(rows, peo_bits)
+
+
+def dense_induced_coloring(graph: DenseGraph, keep: int) -> Optional[Dict[Vertex, int]]:
+    """Tree-scan coloring of the subgraph induced by ``keep``, or ``None``.
+
+    Equals :func:`repro.graphs.coloring.chordal_coloring` of
+    ``graph.subgraph(keep)`` — the greedy lowest-free coloring along the
+    subgraph's MCS visit order, same dict order — when that order reversed
+    is a perfect elimination order, and ``None`` (the subgraph is not
+    chordal) otherwise.  One masked MCS, one PEO check; each vertex's lowest
+    free color is found against per-color class masks, so no adjacency set
+    or subgraph is built.
+    """
+    rows = graph.dense_rows()
+    assert rows is not None, "dense_induced_coloring requires a live DenseGraph"
+    visit = _mcs_bits(rows, keep)
+    if not _is_peo_bits(rows, visit[::-1]):
+        return None
+    classes: List[int] = []
+    colors: List[int] = []
+    colored = 0
+    for v in visit:
+        taken = rows[v] & colored
+        color = 0
+        if taken:
+            while color < len(classes) and classes[color] & taken:
+                color += 1
+        bit = 1 << v
+        if color == len(classes):
+            classes.append(bit)
+        else:
+            classes[color] |= bit
+        colors.append(color)
+        colored |= bit
+    order = graph._order
+    assert order is not None
+    return {order[v]: c for v, c in zip(visit, colors)}
 
 
 def dense_chordal_clique_masks(

@@ -148,8 +148,10 @@ class TargetMachine:
         names, so its 64-register file yields 61 allocatable names.
         """
         reserved = set(self.reserved_registers)
-        ordered = [self.register_names()[i] for i in range(self.num_registers)]
-        return tuple(name for name in ordered if name not in reserved)
+        names = self.register_names()
+        return tuple(
+            names[i] for i in range(self.num_registers) if names[i] not in reserved
+        )
 
     def allocatable_names(self) -> Dict[int, str]:
         """Allocatable registers as a color-index map (what ``assign`` uses)."""

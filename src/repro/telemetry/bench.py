@@ -7,11 +7,14 @@ trajectory of the project, one dated entry per recorded run::
       "format": "repro-bench-history/1",
       "series": [
         {"recorded_at": "...Z", "git_rev": "...", "payload": {...}},
+        {"recorded_at": "...Z", "git_rev": "...", "dirty": true, "payload": {...}},
         ...
       ]
     }
 
-``payload`` is exactly what ``benchmarks/bench_pipeline.py --json`` emits
+``dirty: true`` marks an entry recorded with tracked files modified since
+``git_rev``: its numbers belong to that uncommitted tree, not to the
+revision.  ``payload`` is exactly what ``benchmarks/bench_pipeline.py --json`` emits
 (per-stage seconds, dense-kernel speedup, check overhead, telemetry
 overhead).  ``benchmarks/bench_pipeline.py --append-history PATH`` appends an
 entry; ``repro-alloc bench-diff OLD NEW`` compares the latest entries of two
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -73,17 +77,41 @@ def latest_entry(path: str) -> Dict[str, Any]:
     return series[-1]
 
 
+def tracked_files_modified() -> bool:
+    """Whether tracked files in the process cwd differ from ``HEAD``.
+
+    ``False`` outside git or when git cannot be run.
+    """
+    try:
+        out = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no"],
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return False
+    return out.returncode == 0 and bool(out.stdout.strip())
+
+
 def make_entry(
     payload: Dict[str, Any],
     recorded_at: Optional[str] = None,
     git_rev: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Build a dated history entry around a bench payload."""
-    return {
+    """Build a dated history entry around a bench payload.
+
+    When ``git_rev`` is detected (not given) and tracked files are modified,
+    the entry carries ``"dirty": True``.
+    """
+    entry: Dict[str, Any] = {
         "recorded_at": recorded_at if recorded_at is not None else utc_now_iso(),
         "git_rev": git_rev if git_rev is not None else current_git_rev(),
-        "payload": payload,
     }
+    if git_rev is None and tracked_files_modified():
+        entry["dirty"] = True
+    entry["payload"] = payload
+    return entry
 
 
 def append_history(path: str, payload: Dict[str, Any], **entry_kwargs: Any) -> Dict[str, Any]:

@@ -5,8 +5,14 @@ that triggers exactly it, and the test pins the code, the location and the
 rendered message (text and JSON) so diagnostics cannot drift silently.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.alloc.problem import AllocationProblem
 from repro.alloc.result import AllocationResult
 from repro.analysis.liveness import liveness
@@ -368,6 +374,43 @@ def test_alloc007_interfering_variables_share_a_register():
     diag = one(assignment_diagnostics(problem, result, {"a": "R0", "b": "R0"}), "ALLOC007")
     assert diag.message == "interfering variables a and b share register 'R0'"
     assert diag.location.operand == "a, b"
+
+
+#: prints the first ALLOC007 message for 4 interfering pairs all on r0.
+_ALLOC007_FIRST = """
+from repro.alloc.problem import AllocationProblem
+from repro.alloc.result import AllocationResult
+from repro.check.allocation import assignment_diagnostics
+from repro.graphs.graph import Graph
+from repro.ir.values import VirtualRegister
+
+graph = Graph()
+registers = [VirtualRegister(f"v{i}") for i in range(8)]
+for u, v in zip(registers[::2], registers[1::2]):
+    graph.add_edge(u, v)
+result = AllocationResult(
+    allocator="golden", num_registers=1, allocated=frozenset(registers),
+    spilled=frozenset(), spill_cost=0.0,
+)
+problem = AllocationProblem(graph=graph, num_registers=1)
+print(assignment_diagnostics(problem, result, {r: "r0" for r in registers})[0].message)
+"""
+
+
+def test_alloc007_first_message_does_not_depend_on_the_hash_seed():
+    # VirtualRegister hashes by name, so set iteration order follows
+    # PYTHONHASHSEED; the verify stage raises the first ALLOC007 message.
+    src = str(Path(repro.__file__).resolve().parents[1])
+    messages = set()
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        process = subprocess.run(
+            [sys.executable, "-c", _ALLOC007_FIRST],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+        )
+        assert process.returncode == 0, process.stderr
+        messages.add(process.stdout.strip())
+    assert messages == {"interfering variables %v0 and %v1 share register 'r0'"}
 
 
 def test_alloc008_register_budget_exceeded():

@@ -1,6 +1,7 @@
 """Bench history files and the bench-diff comparator."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.telemetry.bench import (
     diff_entries,
     latest_entry,
     load_bench_file,
+    make_entry,
     render_bench_diff,
 )
 
@@ -56,6 +58,29 @@ def test_append_history_upgrades_flat_file_in_place(tmp_path):
     assert data["format"] == HISTORY_FORMAT
     assert data["series"][0]["payload"] == FLAT_PAYLOAD  # old numbers preserved
     assert data["series"][1]["payload"] == {"a_seconds": 2.0}
+
+
+def test_entry_recorded_on_modified_tree_is_marked_dirty(tmp_path, monkeypatch):
+    def git(*args):
+        subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path, check=True, capture_output=True,
+        )
+
+    git("init", "-q")
+    (tmp_path / "tracked.txt").write_text("one\n")
+    git("add", "tracked.txt")
+    git("commit", "-q", "-m", "one")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "untracked.txt").write_text("ignored by the check\n")
+    clean = make_entry({"a_seconds": 1.0}, recorded_at="t1")
+    assert "dirty" not in clean and clean["git_rev"] != "unknown"
+
+    (tmp_path / "tracked.txt").write_text("two\n")
+    dirty = make_entry({"a_seconds": 1.0}, recorded_at="t2")
+    assert dirty["dirty"] is True and dirty["git_rev"] == clean["git_rev"]
+    # A caller-supplied revision is taken as stated.
+    assert "dirty" not in make_entry({"a_seconds": 1.0}, recorded_at="t3", git_rev="r3")
 
 
 @pytest.mark.parametrize(
